@@ -8,8 +8,8 @@
 //
 //	hsched [-spec system.json] [-exact] [-static] [-tight] [-dump] [-sensitivity] [-workers n] [-cache] [-delta]
 //	hsched assign [-spec system.json] [-policy rm|dm|hopa|audsley] [-iterations n] [-exact] [-workers n] [-cache] [-delta]
-//	hsched bench [-workload default|exact-heavy|assign] [-systems n] [-mutations n] [-queries n] [-goroutines n] [-shards n] [-capacity n] [-exact] [-seed n] [-util u] [-delta] [-json] [-remote URL] [-pipeline n] [-codec json|binary]
-//	hsched serve [-addr host:port] [-shards n] [-cache n] [-delta] [-max-inflight n] [-max-sessions n] [-parse-memo n] [-workers n] [-drain d]
+//	hsched bench [-workload default|contended|exact-heavy|exact-search|assign] [-systems n] [-mutations n] [-queries n] [-goroutines n] [-shards n] [-capacity n] [-exact] [-seed n] [-util u] [-delta] [-json] [-compare base.json] [-remote URL] [-pipeline n] [-codec json|binary]
+//	hsched serve [-addr host:port] [-shards n] [-cache n] [-delta] [-max-inflight n] [-max-sessions n] [-parse-memo n] [-workers n] [-drain d] [-pprof]
 //
 // The assign subcommand searches a local fixed-priority assignment
 // (the paper leaves it to the component designer): the classical
@@ -18,11 +18,13 @@
 // memoised analysis service whose statistics -cache prints.
 //
 // The bench subcommand measures the memoised analysis service on a
-// generated workload: admission-control mutation chains (default),
-// exact scenario sweeps (exact-heavy), or full priority-assignment
-// searches (assign); it reports throughput, cache hit rate,
-// incremental (delta) hit rate and p50/p99 query latency; -json emits
-// a machine-readable report. With -remote URL the same workload is
+// generated workload: admission-control mutation chains (default, or
+// contended with 16 client goroutines), exact scenario sweeps
+// (exact-heavy), exact-oracle priority searches (exact-search), or
+// full priority-assignment searches (assign); it reports throughput,
+// cache hit rate, incremental (delta) hit rate and p50/p99 query
+// latency; -json emits a machine-readable report and -compare FILE
+// fails on a >25% throughput regression against it. With -remote URL the same workload is
 // fired over HTTP at a running `hsched serve` instance instead of the
 // in-process service (-pipeline n keeps n requests in flight per
 // connection).
@@ -31,7 +33,7 @@
 // internal/httpd: POST /v1/analyze, /v1/assign and /v1/minimize over
 // one shared memoised service, per-client probe sessions under
 // /v1/session, per-request deadlines via X-Deadline-Ms, and GET
-// /v1/stats. SIGTERM drains gracefully.
+// /v1/stats; -pprof exposes /debug/pprof. SIGTERM drains gracefully.
 //
 // Exit status is 0 when the system is schedulable (or the benchmark
 // succeeded, or the server drained cleanly), 2 when the system is not

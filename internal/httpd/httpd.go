@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"hsched/internal/analysis"
+	"hsched/internal/clock"
 	"hsched/internal/design"
 	"hsched/internal/model"
 	"hsched/internal/sched"
@@ -38,8 +39,9 @@ type Options struct {
 	// executing concurrently; excess requests are shed with a 429.
 	// 0 means unbounded.
 	MaxInflight int
-	// MaxSessions caps the session registry; the least-recently-used
-	// session is evicted (seed dropped) beyond it. 0 selects 1024.
+	// MaxSessions caps the session registry; beyond it a session not
+	// used since the last sweep is evicted (seed dropped) under the
+	// second-chance policy of package clock. 0 selects 1024.
 	MaxSessions int
 	// MaxBodyBytes caps request bodies. 0 selects 8 MiB.
 	MaxBodyBytes int64
@@ -142,7 +144,7 @@ type Server struct {
 	svc      *service.Service
 	def      analysis.Options
 	sessions *sessions
-	parse    *parseMemo
+	parse    parseMemo
 	mux      *http.ServeMux
 
 	maxInflight int
@@ -167,8 +169,8 @@ func New(opt Options) *Server {
 	s := &Server{
 		svc:         svc,
 		def:         opt.Analysis,
-		sessions:    newSessions(opt.maxSessions()),
-		parse:       newParseMemo(opt.parseMemo()),
+		sessions:    &sessions{byToken: clock.New[string, *session](opt.maxSessions())},
+		parse:       parseMemo{cache: clock.New[[sha256.Size]byte, parsedAnalyze](opt.parseMemo())},
 		mux:         http.NewServeMux(),
 		maxInflight: opt.MaxInflight,
 		maxBody:     opt.maxBodyBytes(),
@@ -359,10 +361,14 @@ func (s *Server) readBody(r *http.Request, v any) error {
 	return nil
 }
 
+// maxDeadlineMS is the longest deadline a time.Duration can hold.
+const maxDeadlineMS = float64(math.MaxInt64 / int64(time.Millisecond))
+
 // requestCtx derives the per-request analysis context: the options
 // block's deadline_ms wins over the X-Deadline-Ms header; neither
 // leaves the request's own context untouched. The returned deadline is
-// 0 when none applies.
+// 0 when none applies. A deadline that is not finite, or too long for
+// a time.Duration, is the caller's fault.
 func requestCtx(r *http.Request, o OptionsSpec) (context.Context, context.CancelFunc, float64, error) {
 	ms := o.DeadlineMS
 	if ms == 0 {
@@ -373,6 +379,9 @@ func requestCtx(r *http.Request, o OptionsSpec) (context.Context, context.Cancel
 			}
 			ms = v
 		}
+	}
+	if math.IsNaN(ms) || math.IsInf(ms, 0) || ms > maxDeadlineMS {
+		return nil, nil, 0, fmt.Errorf("%w: deadline %g ms is not a finite duration", spec.ErrInvalid, ms)
 	}
 	if ms <= 0 {
 		// No deadline: the request's own context already cancels on
@@ -461,7 +470,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			// across the JSON and binary codecs) collapse onto one
 			// resident copy.
 			sys, fp = s.svc.Intern(sys)
-			s.parse.put(key, sys, fp, opts)
+			s.parse.put(key, parsedAnalyze{sys: sys, fp: fp, opt: opts})
 		}
 	}
 	ctx, cancel, dms, err := requestCtx(r, opts)
@@ -798,9 +807,7 @@ func (s *Server) statsSnapshot() *StatsResponse {
 		UptimeMS:    elapsedMS(s.start),
 		Endpoints:   make(map[string]EndpointStats, len(s.metrics)),
 	}
-	if s.parse != nil {
-		resp.ParseHits = s.parse.hits.Load()
-	}
+	resp.ParseHits = s.parse.hits.Load()
 	resp.BinaryHits = s.binHits.Load()
 	for name, m := range s.metrics {
 		if m.requests.Load() > 0 || m.shed.Load() > 0 {

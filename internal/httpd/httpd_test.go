@@ -279,6 +279,72 @@ func TestDeadline504(t *testing.T) {
 	}
 }
 
+// TestDeadlineNotFinite400 asserts a deadline that no time.Duration
+// can hold — NaN, ±Inf, or past the largest duration — is a 400 with a
+// decodable JSON body, whether it arrives in the binary options header,
+// the X-Deadline-Ms header or the JSON options block, and that no
+// analysis runs for it.
+func TestDeadlineNotFinite400(t *testing.T) {
+	s := New(Options{})
+	data, err := json.Marshal(&AnalyzeRequest{System: paperFile()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge, err := json.Marshal(&AnalyzeRequest{System: paperFile(), Options: OptionsSpec{DeadlineMS: 1e300}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	binBody := func(ms float64) []byte {
+		b, err := EncodeAnalyzeRequestBinary(experiments.PaperSystem(), OptionsSpec{DeadlineMS: ms})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	jsonReq := func(body []byte, header string) *http.Request {
+		req := httptest.NewRequest("POST", "/v1/analyze", bytes.NewReader(body))
+		if header != "" {
+			req.Header.Set("X-Deadline-Ms", header)
+		}
+		return req
+	}
+	binReq := func(ms float64) *http.Request {
+		req := httptest.NewRequest("POST", "/v1/analyze", bytes.NewReader(binBody(ms)))
+		req.Header.Set("Content-Type", ContentTypeBinary)
+		return req
+	}
+	for _, tc := range []struct {
+		name string
+		req  *http.Request
+	}{
+		{"binary NaN", binReq(math.NaN())},
+		{"binary +Inf", binReq(math.Inf(1))},
+		{"binary -Inf", binReq(math.Inf(-1))},
+		{"binary 1e300", binReq(1e300)},
+		{"header NaN", jsonReq(data, "NaN")},
+		{"header Inf", jsonReq(data, "Inf")},
+		{"header -Inf", jsonReq(data, "-Inf")},
+		{"header 1e300", jsonReq(data, "1e300")},
+		{"options 1e300", jsonReq(huge, "")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := s.svc.Stats().Queries
+			w := httptest.NewRecorder()
+			s.Handler().ServeHTTP(w, tc.req)
+			if w.Code != http.StatusBadRequest {
+				t.Fatalf("status %d, want 400: %q", w.Code, w.Body.String())
+			}
+			var er ErrorResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || er.Error == "" || er.Status != http.StatusBadRequest {
+				t.Fatalf("body %q does not decode to an error response: %v", w.Body.String(), err)
+			}
+			if after := s.svc.Stats().Queries; after != before {
+				t.Errorf("service queries %d -> %d: the request ran an analysis", before, after)
+			}
+		})
+	}
+}
+
 func TestMaxInflightSheds(t *testing.T) {
 	s := New(Options{MaxInflight: 1})
 	slow := slowSystem(t)

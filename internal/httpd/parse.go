@@ -1,11 +1,11 @@
 package httpd
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"sync"
 	"sync/atomic"
 
+	"hsched/internal/clock"
 	"hsched/internal/model"
 )
 
@@ -18,71 +18,45 @@ import (
 // SHA-256 of the raw body that keys this memo — the service is handed
 // the cached fingerprint instead of re-encoding the system to hash it.
 type parsedAnalyze struct {
-	key [sha256.Size]byte
 	sys *model.System
 	fp  model.Fingerprint
 	opt OptionsSpec
 }
 
-// parseMemo is a body-hash LRU in front of the analyze decode path.
+// parseMemo is a body-hash cache in front of the analyze decode path,
+// with the service's second-chance eviction (package clock).
 // Admission-control traffic keeps re-asking about the same small
 // population of systems, so the expensive part of a memo-hit query is
 // not the analysis (the service answers in ~µs) but decoding the JSON
 // spec and rebuilding the model — this cache skips both: a repeated
 // byte-identical body costs one SHA-256 of the raw bytes. Entries are
 // only ever successful parses; malformed bodies are re-diagnosed every
-// time so their 400s stay accurate.
+// time so their 400s stay accurate. A nil cache (Options.ParseMemo < 0)
+// never hits.
 type parseMemo struct {
 	mu    sync.Mutex
-	cap   int
-	lru   list.List // of *parsedAnalyze, front = most recent
-	byKey map[[sha256.Size]byte]*list.Element
+	cache *clock.Cache[[sha256.Size]byte, parsedAnalyze]
 	hits  atomic.Int64
 }
 
-func newParseMemo(capacity int) *parseMemo {
-	if capacity <= 0 {
-		return nil
-	}
-	return &parseMemo{
-		cap:   capacity,
-		byKey: make(map[[sha256.Size]byte]*list.Element),
-	}
-}
-
-// get returns the cached parse for a body hash, if any. A nil memo
-// (disabled) never hits.
-func (p *parseMemo) get(key [sha256.Size]byte) (*parsedAnalyze, bool) {
-	if p == nil {
-		return nil, false
-	}
+// get returns the cached parse for a body hash, if any.
+func (p *parseMemo) get(key [sha256.Size]byte) (parsedAnalyze, bool) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	el, ok := p.byKey[key]
-	if !ok {
-		return nil, false
+	e := p.cache.Get(key)
+	if e == nil {
+		p.mu.Unlock()
+		return parsedAnalyze{}, false
 	}
-	p.lru.MoveToFront(el)
+	v := e.Value
+	p.mu.Unlock()
+	e.Touch()
 	p.hits.Add(1)
-	return el.Value.(*parsedAnalyze), true
+	return v, true
 }
 
-// put records a successful parse, evicting the least-recently-used
-// entry beyond capacity.
-func (p *parseMemo) put(key [sha256.Size]byte, sys *model.System, fp model.Fingerprint, opt OptionsSpec) {
-	if p == nil {
-		return
-	}
+// put records a successful parse, evicting beyond capacity.
+func (p *parseMemo) put(key [sha256.Size]byte, v parsedAnalyze) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if el, ok := p.byKey[key]; ok {
-		p.lru.MoveToFront(el)
-		return
-	}
-	p.byKey[key] = p.lru.PushFront(&parsedAnalyze{key: key, sys: sys, fp: fp, opt: opt})
-	for p.lru.Len() > p.cap {
-		victim := p.lru.Back()
-		p.lru.Remove(victim)
-		delete(p.byKey, victim.Value.(*parsedAnalyze).key)
-	}
+	p.cache.Put(key, v, 0)
+	p.mu.Unlock()
 }

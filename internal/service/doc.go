@@ -42,14 +42,11 @@
 //     the memo (a hit would silence their callbacks). Memo hits
 //     return a shared pointer — treat cached Results as read-only —
 //     and are allocation-free: a hit reads the stripe's index under
-//     its mutex and records recency by setting the entry's CLOCK bit
-//     (an atomic, touched outside the lock) instead of reordering a
-//     list. Eviction is second-chance and cost-weighted: the evictor
-//     scans from the cold end, rotates touched entries back with
-//     their bit cleared, and among the untouched sample evicts the
-//     cheapest-to-recompute entry first, so exact-analysis verdicts
-//     (~30× the recomputation price of approximate ones) survive
-//     bursts of cheap traffic;
+//     its mutex and touches the entry (an atomic, outside the lock)
+//     instead of reordering a list. Each entry is priced by the wall
+//     time of the analysis that produced it, so under the eviction
+//     policy below exact-analysis verdicts (~30× the recomputation
+//     price of approximate ones) survive bursts of cheap traffic;
 //
 //   - singleflight-style deduplication: concurrent identical queries
 //     block on the first one's in-flight analysis instead of running
@@ -77,18 +74,30 @@
 //     stripes;
 //
 //   - a fingerprint-keyed intern pool (Intern, InternFingerprinted,
-//     Interned; Options.InternCapacity) sitting in front of the
-//     ladder for callers that decode systems from bytes. Interning a
-//     system returns the canonical resident *model.System for its
-//     fingerprint, so a population of duplicate-heavy traffic (an
-//     admission controller re-posting the same systems, the httpd
+//     Interned; bounded like the memo by Options.Capacity) sitting in
+//     front of the ladder for callers that decode systems from bytes.
+//     Interning a system returns the canonical resident *model.System
+//     for its fingerprint, so a population of duplicate-heavy traffic
+//     (an admission controller re-posting the same systems, the httpd
 //     transport's binary codec) collapses to one resident copy per
 //     distinct system — and a transport that already knows the
 //     fingerprint (the SHA-256 of the canonical wire bytes IS the
 //     fingerprint; see model.System.MarshalBinary) answers a repeat
-//     without decoding at all. Interned systems must never be
-//     mutated. Stats reports InternHits, InternMisses and Resident
-//     (a gauge: distinct systems currently pooled).
+//     without decoding at all. The pool lives in the memo's stripes,
+//     under the same mutex. Interned systems must never be mutated.
+//     Stats reports InternHits, InternMisses and Resident (a gauge:
+//     distinct systems currently pooled).
+//
+// Every bounded map here — the memo, the delta-seed pool and the
+// intern pool, like the parse memo and session registry of package
+// httpd — is a clock.Cache, so there is one eviction policy and it
+// lives in package clock: cost-weighted second chance. A hit sets the
+// entry's CLOCK bit. The evictor scans from the cold end, clears the
+// bit of a touched entry and rotates it to the hot end, and among the
+// first min(⌈(n+1)/4⌉, 8) untouched entries evicts the cheapest. Only
+// the memo prices its entries; the other maps use cost 0, which is
+// plain second chance, and the seed pool is never touched, which makes
+// it insertion-order LRU.
 //
 // Search loops — the priority-assignment searches of package sched,
 // the bandwidth minimisation of package design, an admission

@@ -1,14 +1,8 @@
 package service
 
-import (
-	"container/list"
-	"sync"
-	"sync/atomic"
+import "hsched/internal/model"
 
-	"hsched/internal/model"
-)
-
-// internPool is the fingerprint-keyed pool of canonical resident
+// The intern pool is the fingerprint-keyed pool of canonical resident
 // systems: every decoded copy of one system collapses to a single
 // *model.System shared by the memo, delta-seed and session paths, so a
 // million clients posting the same platform pin one copy instead of a
@@ -17,142 +11,15 @@ import (
 // may intern; search loops that edit systems in place (sched.Assign,
 // design.Minimize) must not.
 //
-// The pool is striped by fingerprint like the verdict memo (the binary
-// wire path takes an intern lookup and a memo lookup per request, and
-// both must scale), with the same CLOCK discipline: a hit sets the
-// entry's touched bit instead of reordering the list, so the lookup
-// mutex is held for a map read only, and counters are padded atomics.
-// Each stripe is bounded at ceil(capacity/stripes) entries; eviction
+// The pool lives in the stripes beside the verdict memo, under the
+// same mutex and routing (the binary wire path takes an intern lookup
+// and a memo lookup per request, both on the one stripe its
+// fingerprint selects), with the same CLOCK discipline: a hit touches
+// its entry after the lock is released, so the lookup holds the mutex
+// for a map read only. Each stripe is bounded like the memo; eviction
 // only drops the pool's reference, so a resident still held by a
 // caller or a memoised Result simply stops being shared with future
 // requests.
-type internPool struct {
-	stripes []internStripe
-	capPer  int
-
-	hits     counter
-	misses   counter
-	resident counter // gauge: entries currently pooled, all stripes
-}
-
-type internStripe struct {
-	mu    sync.Mutex
-	lru   *list.List // of *internEntry; front = most recently inserted
-	index map[model.Fingerprint]*list.Element
-
-	_ [64]byte // keep neighbouring stripes' mutexes off one cache line
-}
-
-type internEntry struct {
-	fp  model.Fingerprint
-	sys *model.System
-	// touched is the CLOCK bit (see entry.touched): set lock-free on
-	// hit, cleared for a second chance by the evictor.
-	touched atomic.Bool
-}
-
-func newInternPool(capacity, stripes int) *internPool {
-	if capacity <= 0 {
-		return nil
-	}
-	p := &internPool{
-		stripes: make([]internStripe, stripes),
-		capPer:  perStripe(capacity, stripes),
-	}
-	for i := range p.stripes {
-		p.stripes[i].lru = list.New()
-		p.stripes[i].index = make(map[model.Fingerprint]*list.Element)
-	}
-	return p
-}
-
-func (p *internPool) stripeFor(fp model.Fingerprint) *internStripe {
-	return &p.stripes[fp.Shard(len(p.stripes))]
-}
-
-// lookup returns the resident system for fp, if any, counting a hit.
-// A miss counts nothing: the caller will decode and come back through
-// intern, which does the miss accounting — so each request is counted
-// exactly once however it splits the lookup.
-func (p *internPool) lookup(fp model.Fingerprint) (*model.System, bool) {
-	st := p.stripeFor(fp)
-	st.mu.Lock()
-	el, ok := st.index[fp]
-	if !ok {
-		st.mu.Unlock()
-		return nil, false
-	}
-	e := el.Value.(*internEntry)
-	sys := e.sys
-	st.mu.Unlock()
-	e.touched.Store(true)
-	p.hits.Add(1)
-	return sys, true
-}
-
-// intern returns the canonical resident system for fp, installing sys
-// as the resident if none exists. A concurrent duplicate that lost the
-// race to install still gets the winner's pointer (and counts as a
-// hit), so equal fingerprints always yield one pointer.
-func (p *internPool) intern(fp model.Fingerprint, sys *model.System) *model.System {
-	st := p.stripeFor(fp)
-	st.mu.Lock()
-	if el, ok := st.index[fp]; ok {
-		e := el.Value.(*internEntry)
-		res := e.sys
-		st.mu.Unlock()
-		e.touched.Store(true)
-		p.hits.Add(1)
-		return res
-	}
-	st.index[fp] = st.lru.PushFront(&internEntry{fp: fp, sys: sys})
-	evicted := 0
-	for st.lru.Len() > p.capPer {
-		// Second-chance scan from the cold end: a touched entry was
-		// hit since the last sweep, so clear the bit and rotate it to
-		// the hot end; the first untouched entry goes.
-		var victim *list.Element
-		for el := st.lru.Back(); el != nil; {
-			prev := el.Prev()
-			e := el.Value.(*internEntry)
-			if e.touched.CompareAndSwap(true, false) {
-				st.lru.MoveToFront(el)
-			} else {
-				victim = el
-				break
-			}
-			el = prev
-		}
-		if victim == nil {
-			victim = st.lru.Back()
-		}
-		st.lru.Remove(victim)
-		delete(st.index, victim.Value.(*internEntry).fp)
-		evicted++
-	}
-	st.mu.Unlock()
-	p.misses.Add(1)
-	p.resident.Add(int64(1 - evicted))
-	return sys
-}
-
-// snapshot reads the pool counters: hits, misses, and the resident
-// count gauge.
-func (p *internPool) snapshot() (hits, misses, resident int64) {
-	return p.hits.Load(), p.misses.Load(), p.resident.Load()
-}
-
-func (p *internPool) reset() {
-	for i := range p.stripes {
-		st := &p.stripes[i]
-		st.mu.Lock()
-		dropped := int64(st.lru.Len())
-		st.lru.Init()
-		clear(st.index)
-		st.mu.Unlock()
-		p.resident.Add(-dropped)
-	}
-}
 
 // Intern returns the canonical resident *model.System equal to sys,
 // plus its fingerprint: the first caller's copy becomes the resident
@@ -162,7 +29,7 @@ func (p *internPool) reset() {
 // interned) and the result as read-only. Code that mutates systems in
 // place must keep its private copy and skip interning.
 //
-// With interning disabled (Options.InternCapacity < 0) sys is returned
+// With interning disabled (Options.Capacity < 0) sys is returned
 // unchanged and nothing is counted.
 func (s *Service) Intern(sys *model.System) (*model.System, model.Fingerprint) {
 	fp := sys.Fingerprint()
@@ -174,11 +41,30 @@ func (s *Service) Intern(sys *model.System) (*model.System, model.Fingerprint) {
 // bytes) and must not pay a second encoding pass. fp must be
 // sys.Fingerprint(); an inconsistent pair poisons the pool for that
 // fingerprint.
+//
+// A concurrent duplicate that lost the race to install still gets the
+// winner's pointer (and counts as a hit), so equal fingerprints always
+// yield one pointer.
 func (s *Service) InternFingerprinted(fp model.Fingerprint, sys *model.System) *model.System {
-	if s.intern == nil {
+	st := s.stripeFor(fp)
+	if st.interned == nil {
 		return sys
 	}
-	return s.intern.intern(fp, sys)
+	st.mu.Lock()
+	if e := st.interned.Get(fp); e != nil {
+		res := e.Value
+		st.mu.Unlock()
+		e.Touch()
+		s.ctr.internHits.Add(1)
+		return res
+	}
+	_, evicted := st.interned.Put(fp, sys, 0)
+	st.mu.Unlock()
+	s.ctr.internMisses.Add(1)
+	if !evicted {
+		s.ctr.resident.Add(1)
+	}
+	return sys
 }
 
 // Interned returns the resident system for fp, if one exists — the
@@ -188,8 +74,16 @@ func (s *Service) InternFingerprinted(fp model.Fingerprint, sys *model.System) *
 // caller decodes and calls InternFingerprinted, which counts the miss,
 // so each request increments exactly one intern counter.
 func (s *Service) Interned(fp model.Fingerprint) (*model.System, bool) {
-	if s.intern == nil {
+	st := s.stripeFor(fp)
+	st.mu.Lock()
+	e := st.interned.Get(fp)
+	if e == nil {
+		st.mu.Unlock()
 		return nil, false
 	}
-	return s.intern.lookup(fp)
+	sys := e.Value
+	st.mu.Unlock()
+	e.Touch()
+	s.ctr.internHits.Add(1)
+	return sys, true
 }

@@ -86,7 +86,7 @@ func TestInternedZeroDecode(t *testing.T) {
 // the CLOCK bit) is dropped and the gauge tracks it. One stripe, so
 // the whole capacity is one slice and the eviction order is exact.
 func TestInternEviction(t *testing.T) {
-	svc := New(Options{Shards: 1, InternCapacity: 2})
+	svc := New(Options{Shards: 1, Capacity: 2})
 	mk := func(period float64) *model.System {
 		sys := internTestSystem(t)
 		sys.Transactions[0].Period = period
@@ -111,7 +111,7 @@ func TestInternEviction(t *testing.T) {
 // TestInternDisabled asserts a negative capacity turns interning off:
 // arguments pass through unchanged and nothing is counted.
 func TestInternDisabled(t *testing.T) {
-	svc := New(Options{InternCapacity: -1})
+	svc := New(Options{Capacity: -1})
 	sys := internTestSystem(t)
 	got, fp := svc.Intern(sys)
 	if got != sys || fp != sys.Fingerprint() {

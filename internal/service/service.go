@@ -1,7 +1,6 @@
 package service
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -11,26 +10,29 @@ import (
 	"time"
 
 	"hsched/internal/analysis"
+	"hsched/internal/clock"
 	"hsched/internal/model"
 )
 
 // Options configures a Service.
 type Options struct {
 	// Shards is the number of stripes the service's state is split
-	// into. Each stripe owns one slice of the verdict memo, in-flight
-	// table and delta-seed pool behind a short-held mutex, plus one set
-	// of resident analysis engines behind a long-held one; queries are
-	// routed by system fingerprint, so one fingerprint touches exactly
-	// one stripe — repeated queries on the same system land on the same
-	// warm engine while distinct systems spread across stripes and run
-	// concurrently. 0 selects runtime.GOMAXPROCS(0).
+	// into. Each stripe owns one slice of the verdict memo, intern
+	// pool, in-flight table and delta-seed pool behind short-held
+	// mutexes, plus one set of resident analysis engines behind a
+	// long-held one; queries are routed by system fingerprint, so one
+	// fingerprint touches exactly one stripe — repeated queries on the
+	// same system land on the same warm engine while distinct systems
+	// spread across stripes and run concurrently. 0 selects
+	// runtime.GOMAXPROCS(0).
 	Shards int
 
 	// Capacity bounds the verdict memo in entries (whole detached
-	// Results), divided evenly across stripes. 0 selects 4096; a
-	// negative value disables memoisation entirely (every query runs an
-	// analysis) while keeping the engine pool and in-flight
-	// deduplication.
+	// Results), divided evenly across stripes, and the intern pool of
+	// canonical resident systems (see Intern) to the same number of
+	// entries. 0 selects 4096; a negative value disables both:
+	// every query runs an analysis (the engine pool and in-flight
+	// deduplication remain) and Intern returns its argument unchanged.
 	Capacity int
 
 	// Analysis is the default analysis configuration used by Analyze
@@ -47,12 +49,6 @@ type Options struct {
 	// time. 0 selects 4 × shards; a negative value disables the delta
 	// path entirely.
 	DeltaWindow int
-
-	// InternCapacity bounds the fingerprint-keyed intern pool of
-	// canonical resident systems (see Intern) in entries, divided
-	// evenly across stripes. 0 selects 4096; a negative value disables
-	// interning (Intern returns its argument unchanged).
-	InternCapacity int
 }
 
 func (o Options) shards() int {
@@ -84,17 +80,6 @@ func (o Options) deltaWindow() int {
 	}
 }
 
-func (o Options) internCapacity() int {
-	switch {
-	case o.InternCapacity < 0:
-		return 0
-	case o.InternCapacity == 0:
-		return 4096
-	default:
-		return o.InternCapacity
-	}
-}
-
 // perStripe divides a total capacity over n stripes, rounding up so a
 // positive total stays positive on every stripe (the bound becomes
 // "at most ceil(total/n) per stripe", i.e. total rounded up to a
@@ -123,7 +108,7 @@ type Stats struct {
 	Hits int64 `json:"hits"`
 	// Misses counts queries that ran (or errored in) an analysis.
 	Misses int64 `json:"misses"`
-	// Evictions counts memo entries displaced by the LRU policy.
+	// Evictions counts memo entries displaced by the CLOCK policy.
 	Evictions int64 `json:"evictions"`
 	// InflightDedups counts the subset of Hits that were answered by
 	// waiting on a concurrent identical query instead of the memo.
@@ -183,7 +168,7 @@ type counter struct {
 }
 
 // counters is the service's live tally, one padded atomic per Stats
-// field (intern counters live in internPool).
+// field.
 //
 // Counting protocol: each query increments exactly one attribution
 // counter — hits (memo hit or in-flight dedup, the latter also bumping
@@ -205,6 +190,9 @@ type counters struct {
 	roundsSaved     counter
 	scenariosPruned counter
 	subtreesPruned  counter
+	internHits      counter
+	internMisses    counter
+	resident        counter // gauge: systems currently interned
 }
 
 // optKey is the comparable form of normalised analysis options used in
@@ -250,32 +238,33 @@ type inflight struct {
 }
 
 // stripe owns one fingerprint slice of every piece of per-system
-// service state: the memo, the in-flight table, the delta-seed pool
-// and the resident engines. Routing is model.Fingerprint.Shard, so one
-// fingerprint touches exactly one stripe and a query acquires at most
-// one stripe mutex. Three locks with three very different hold times
-// live here deliberately:
+// service state: the memo, the intern pool, the in-flight table, the
+// delta-seed pool and the resident engines. Routing is
+// model.Fingerprint.Shard, so one fingerprint touches exactly one
+// stripe and a query acquires at most one stripe mutex. The three
+// bounded maps are clock.Caches. Three locks with three very different
+// hold times live here deliberately:
 //
-//   - mu guards the memo and in-flight table — map/list operations
-//     only, never held across an analysis, and taken exactly once per
-//     memoised query;
+//   - mu guards the memo, the intern pool and the in-flight table —
+//     map/list operations only, never held across an analysis, and
+//     taken exactly once per memoised query;
 //   - engMu guards the resident engines and IS held across an
 //     analysis (engines are single-goroutine), so a long cold run
 //     never blocks the stripe's hit path;
 //   - seedMu guards the stripe's slice of the delta-seed pool, taken
 //     only on the miss path (seed scan + store).
 type stripe struct {
-	mu       sync.Mutex
-	lru      *list.List // of *entry; front = most recently inserted
-	index    map[cacheKey]*list.Element
+	mu sync.Mutex
+	// memo is priced by the analysis wall time in nanoseconds.
+	memo     *clock.Cache[cacheKey, *analysis.Result]
+	interned *clock.Cache[model.Fingerprint, *model.System]
 	inflight map[cacheKey]*inflight
 
 	engMu   sync.Mutex
 	engines map[engineKey]*analysis.Engine
 
-	seedMu  sync.Mutex
-	seeds   *list.List // of *seedEntry; front = most recent
-	seedIdx map[cacheKey]*list.Element
+	seedMu sync.Mutex
+	seeds  *clock.Cache[cacheKey, seedEntry] // never touched: insertion LRU
 
 	_ [64]byte // keep neighbouring stripes' mutexes off one cache line
 }
@@ -283,7 +272,7 @@ type stripe struct {
 // Service is a concurrency-safe front-end over a pool of resident
 // analysis engines: the long-running "admission control" shape of the
 // ROADMAP. It routes each query to a stripe by system fingerprint,
-// memoises detached Results in per-stripe CLOCK-tempered LRUs keyed by
+// memoises detached Results in per-stripe CLOCK caches keyed by
 // (fingerprint, normalised options), and deduplicates concurrent
 // identical queries singleflight-style so the analysis runs once.
 //
@@ -295,12 +284,11 @@ type stripe struct {
 type Service struct {
 	opt Options
 
-	// stripes is the fingerprint-routed state; capPerStripe and
-	// seedWindow are the per-stripe slices of Options.Capacity and
-	// Options.DeltaWindow (0 = disabled), fixed at construction.
-	stripes      []stripe
-	capPerStripe int
-	seedWindow   int
+	// stripes is the fingerprint-routed state. delta is whether the
+	// delta path is enabled (Options.DeltaWindow ≥ 0), fixed at
+	// construction.
+	stripes []stripe
+	delta   bool
 
 	ctr counters
 
@@ -308,33 +296,12 @@ type Service struct {
 	// cross-stripe seed scans can break ties by recency without any
 	// shared list.
 	seedSeq atomic.Int64
-
-	// intern is the fingerprint-keyed pool of canonical resident
-	// systems (nil when disabled); it is striped like the memo and its
-	// counters are merged into Stats snapshots.
-	intern *internPool
-}
-
-type entry struct {
-	key cacheKey
-	res *analysis.Result
-	// cost is the measured wall time of the analysis that produced
-	// res — the recomputation price the eviction policy protects.
-	cost time.Duration
-	// touched is the CLOCK bit: a memo hit sets it (lock-free, after
-	// releasing the stripe mutex) instead of moving the entry, so hits
-	// never mutate the list; the evictor clears it and grants a second
-	// chance. It is the only entry field written outside the stripe
-	// mutex.
-	touched atomic.Bool
 }
 
 // seedEntry is one delta-seed candidate: a recent result plus the
 // precomputed per-transaction fingerprints its matching runs on. seq
-// is the Service-wide recency stamp (seedSeq); res, txFPs and seq are
-// guarded by the owning stripe's seedMu.
+// is the Service-wide recency stamp (seedSeq).
 type seedEntry struct {
-	key   cacheKey
 	txFPs []model.Fingerprint
 	res   *analysis.Result
 	seq   int64
@@ -343,21 +310,16 @@ type seedEntry struct {
 // New constructs a Service with the given options.
 func New(opt Options) *Service {
 	n := opt.shards()
-	s := &Service{
-		opt:          opt,
-		stripes:      make([]stripe, n),
-		capPerStripe: perStripe(opt.capacity(), n),
-		seedWindow:   perStripe(opt.deltaWindow(), n),
-		intern:       newInternPool(opt.internCapacity(), n),
-	}
+	capPer := perStripe(opt.capacity(), n)
+	window := perStripe(opt.deltaWindow(), n)
+	s := &Service{opt: opt, stripes: make([]stripe, n), delta: window > 0}
 	for i := range s.stripes {
 		st := &s.stripes[i]
-		st.lru = list.New()
-		st.index = make(map[cacheKey]*list.Element)
+		st.memo = clock.New[cacheKey, *analysis.Result](capPer)
+		st.interned = clock.New[model.Fingerprint, *model.System](capPer)
 		st.inflight = make(map[cacheKey]*inflight)
 		st.engines = make(map[engineKey]*analysis.Engine)
-		st.seeds = list.New()
-		st.seedIdx = make(map[cacheKey]*list.Element)
+		st.seeds = clock.New[cacheKey, seedEntry](window)
 	}
 	return s
 }
@@ -415,14 +377,15 @@ func (s *Service) Stats() Stats {
 	st.RoundsSaved = s.ctr.roundsSaved.Load()
 	st.ScenariosPruned = s.ctr.scenariosPruned.Load()
 	st.SubtreesPruned = s.ctr.subtreesPruned.Load()
-	if s.intern != nil {
-		st.InternHits, st.InternMisses, st.Resident = s.intern.snapshot()
-	}
+	st.InternHits = s.ctr.internHits.Load()
+	st.InternMisses = s.ctr.internMisses.Load()
+	st.Resident = s.ctr.resident.Load()
 	return st
 }
 
-// Reset drops every memo entry and every resident engine, releasing
-// the memory they pin; counters are preserved. In-flight analyses are
+// Reset drops every memo entry, interned system, delta seed and
+// resident engine, releasing the memory they pin; counters are
+// preserved (the Resident gauge drops to 0). In-flight analyses are
 // unaffected (their results simply land in the fresh memo). Long-lived
 // processes that query the service in bursts over disjoint system
 // populations can call it between bursts.
@@ -430,19 +393,16 @@ func (s *Service) Reset() {
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.Lock()
-		st.lru.Init()
-		clear(st.index)
+		st.memo.Clear()
+		s.ctr.resident.Add(-int64(st.interned.Len()))
+		st.interned.Clear()
 		st.mu.Unlock()
 		st.seedMu.Lock()
-		st.seeds.Init()
-		clear(st.seedIdx)
+		st.seeds.Clear()
 		st.seedMu.Unlock()
 		st.engMu.Lock()
 		clear(st.engines)
 		st.engMu.Unlock()
-	}
-	if s.intern != nil {
-		s.intern.reset()
 	}
 }
 
@@ -488,14 +448,13 @@ func (s *Service) analyzeFP(ctx context.Context, fp model.Fingerprint, sys *mode
 	for {
 		// The memoised hit path: one stripe-mutex acquisition, held for
 		// a map lookup and a pointer read only. res must be read under
-		// the lock (insert may refresh e.res); the CLOCK touch and all
+		// the lock (a Put may refresh it); the CLOCK touch and all
 		// counting are lock-free and happen after release.
 		st.mu.Lock()
-		if el, ok := st.index[key]; ok {
-			e := el.Value.(*entry)
-			res := e.res
+		if e := st.memo.Get(key); e != nil {
+			res := e.Value
 			st.mu.Unlock()
-			e.touched.Store(true)
+			e.Touch()
 			s.ctr.hits.Add(1)
 			s.ctr.queries.Add(1)
 			if sess != nil {
@@ -552,7 +511,7 @@ func (s *Service) analyzeFP(ctx context.Context, fp model.Fingerprint, sys *mode
 		// transparently, so a bad candidate only costs the plan.
 		var seed *analysis.Result
 		var txFPs []model.Fingerprint
-		if !static && opt.Recorder == nil && s.seedWindow > 0 {
+		if !static && opt.Recorder == nil && s.delta {
 			txFPs = sys.TransactionFingerprints()
 			if sess != nil {
 				seed = sess.currentSeed()
@@ -594,10 +553,14 @@ func (s *Service) analyzeFP(ctx context.Context, fp model.Fingerprint, sys *mode
 		fl.res, fl.err = shared, err
 		st.mu.Lock()
 		delete(st.inflight, key)
-		if err == nil && s.capPerStripe > 0 {
-			s.insert(st, key, shared, cost)
+		evicted := false
+		if err == nil {
+			_, evicted = st.memo.Put(key, shared, int64(cost))
 		}
 		st.mu.Unlock()
+		if evicted {
+			s.ctr.evictions.Add(1)
+		}
 		if err == nil {
 			if res.Delta != nil {
 				s.ctr.deltaHits.Add(1)
@@ -620,9 +583,8 @@ func (s *Service) analyzeFP(ctx context.Context, fp model.Fingerprint, sys *mode
 // normalised options, same platform count, maximal transaction
 // overlap, then fewest platform-parameter differences, then recency
 // (the seedSeq stamp — the cross-stripe replacement for a single
-// recency-ordered list). Each stripe is scanned under its own seedMu
-// and the candidate's res pointer is captured inside that locked
-// region (storeSeed may rewrite it); stripes are compared lock-free
+// recency-ordered list). Each stripe is scanned under its own seedMu,
+// which storeSeed also holds; stripes are compared lock-free
 // afterwards. Returns nil when nothing overlaps.
 func (s *Service) findSeed(opt optKey, txFPs []model.Fingerprint, sys *model.System) *analysis.Result {
 	counts := make(map[model.Fingerprint]int, len(txFPs))
@@ -636,9 +598,8 @@ func (s *Service) findSeed(opt optKey, txFPs []model.Fingerprint, sys *model.Sys
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.seedMu.Lock()
-		for el := st.seeds.Front(); el != nil; el = el.Next() {
-			se := el.Value.(*seedEntry)
-			if se.key.opt != opt || len(se.res.System.Platforms) != len(sys.Platforms) {
+		for key, se := range st.seeds.All() {
+			if key.opt != opt || len(se.res.System.Platforms) != len(sys.Platforms) {
 				continue
 			}
 			// Multiset overlap: each incoming transaction can match at
@@ -678,19 +639,8 @@ func (s *Service) findSeed(opt optKey, txFPs []model.Fingerprint, sys *model.Sys
 func (s *Service) storeSeed(st *stripe, key cacheKey, txFPs []model.Fingerprint, res *analysis.Result) {
 	seq := s.seedSeq.Add(1)
 	st.seedMu.Lock()
-	defer st.seedMu.Unlock()
-	if el, ok := st.seedIdx[key]; ok {
-		se := el.Value.(*seedEntry)
-		se.txFPs, se.res, se.seq = txFPs, res, seq
-		st.seeds.MoveToFront(el)
-		return
-	}
-	st.seedIdx[key] = st.seeds.PushFront(&seedEntry{key: key, txFPs: txFPs, res: res, seq: seq})
-	for st.seeds.Len() > s.seedWindow {
-		last := st.seeds.Back()
-		st.seeds.Remove(last)
-		delete(st.seedIdx, last.Value.(*seedEntry).key)
-	}
+	st.seeds.Put(key, seedEntry{txFPs: txFPs, res: res, seq: seq}, 0)
+	st.seedMu.Unlock()
 }
 
 // maxEnginesPerStripe bounds the resident engines one stripe keeps. A
@@ -730,9 +680,9 @@ func (s *Service) run(ctx context.Context, st *stripe, sys *model.System, opt an
 		engOpt := opt.Normalised()
 		// With the delta path disabled no Result will ever be used as
 		// a seed, so don't pay for recording replay state. The flag is
-		// uniform per service (seedWindow is fixed at construction),
+		// uniform per service (delta is fixed at construction),
 		// so it cannot alias engines across settings.
-		engOpt.DisableReplayState = s.seedWindow == 0
+		engOpt.DisableReplayState = !s.delta
 		eng = analysis.NewEngine(engOpt)
 		st.engines[ek] = eng
 	}
@@ -759,72 +709,6 @@ func (s *Service) runFresh(ctx context.Context, sys *model.System, opt analysis.
 		return eng.AnalyzeStaticContext(ctx, sys)
 	}
 	return eng.AnalyzeContext(ctx, sys)
-}
-
-// evictionSample bounds how many of the oldest untouched entries the
-// eviction policy weighs against each other. Larger samples protect
-// expensive entries more aggressively but let stale ones linger;
-// recency stays the primary signal because the sample is drawn from
-// the cold end of the stripe only.
-const evictionSample = 8
-
-// insert adds (or refreshes) a memo entry in the stripe and evicts
-// past the per-stripe capacity. Caller holds st.mu.
-//
-// Eviction is cost-weighted CLOCK (second chance), not pure LRU. Hits
-// do not reorder the list — they set the entry's touched bit — so the
-// list is ordered by insertion and the evictor supplies the recency
-// signal: scanning from the cold end, an entry whose touched bit is
-// set has been hit since the last sweep, so the bit is cleared and the
-// entry rotates to the hot end (its second chance); among the first
-// quarter of the stripe's untouched entries (capped at
-// evictionSample), the cheapest-to-recompute entry goes first, so a
-// resident exact-analysis verdict — ~30× the recomputation price of an
-// approximate one — is not displaced by a burst of cheap entries of
-// equal coldness. cost is the measured wall time of the analysis that
-// produced res.
-func (s *Service) insert(st *stripe, key cacheKey, res *analysis.Result, cost time.Duration) {
-	if el, ok := st.index[key]; ok {
-		st.lru.MoveToFront(el)
-		e := el.Value.(*entry)
-		e.res, e.cost = res, cost
-		return
-	}
-	st.index[key] = st.lru.PushFront(&entry{key: key, res: res, cost: cost})
-	for st.lru.Len() > s.capPerStripe {
-		sample := (st.lru.Len() + 3) / 4
-		if sample > evictionSample {
-			sample = evictionSample
-		}
-		var victim *list.Element
-		seen := 0
-		for el := st.lru.Back(); el != nil && seen < sample; {
-			prev := el.Prev()
-			e := el.Value.(*entry)
-			if e.touched.CompareAndSwap(true, false) {
-				// Hit since the last sweep: second chance. The rotation
-				// happens at eviction time, under the same st.mu the
-				// hit path held for its lookup, so the list is never
-				// mutated concurrently.
-				st.lru.MoveToFront(el)
-			} else {
-				seen++
-				if victim == nil || e.cost < victim.Value.(*entry).cost {
-					victim = el
-				}
-			}
-			el = prev
-		}
-		if victim == nil {
-			// Every entry was touched since the last sweep (all bits
-			// now cleared and the scan order preserved the rotation):
-			// degrade to evicting the current cold end.
-			victim = st.lru.Back()
-		}
-		st.lru.Remove(victim)
-		delete(st.index, victim.Value.(*entry).key)
-		s.ctr.evictions.Add(1)
-	}
 }
 
 // ctxErr reports whether err is (or wraps) a context cancellation or
