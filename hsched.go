@@ -48,9 +48,9 @@
 //	             context-aware cancellation
 //	              └─ Analyzer (analysis.Engine) — one goroutine's
 //	                 reusable engine: transaction-keyed state slabs,
-//	                 per-round parallel response computation, exact
-//	                 sweeps streamed/pruned/chunk-parallel on a shared
-//	                 worker budget, incremental AnalyzeFrom replay
+//	                 per-round parallel response computation, one
+//	                 sequential streamed branch-and-bound exact sweep
+//	                 per task, incremental AnalyzeFrom replay
 //	                   └─ batch — deterministic parallel map primitives
 //
 // Which entry point do I use?

@@ -85,13 +85,9 @@ type Options struct {
 	// reports the same wrapped error, but the task it names may vary
 	// with scheduling.) Callers that already run many analyses in
 	// parallel (batch sweeps, design searches inside batch.MapWorkers)
-	// should set 1 to avoid oversubscription.
-	//
-	// The same bound covers the nested parallelism inside one task's
-	// exact scenario sweep: workers a round leaves idle are lent to
-	// the heavy sweeps of the tasks it does compute, so the total
-	// goroutine count never exceeds Workers whichever level the work
-	// lands on.
+	// should set 1 to avoid oversubscription. Each task's exact
+	// scenario sweep runs sequentially on the goroutine computing that
+	// task, so Workers bounds the analysis's goroutines outright.
 	Workers int
 
 	// DisableExactStreaming reverts the exact analysis to the
@@ -115,15 +111,6 @@ type Options struct {
 	// reports how many scenarios it skipped. Excluded from replay keys
 	// and cache keys.
 	DisableExactPruning bool
-
-	// DisableExactParallel keeps each task's exact scenario sweep on
-	// its own goroutine even when the round has Workers to spare.
-	// Sweeps large enough to split are otherwise partitioned into
-	// contiguous cursor ranges evaluated on the spare workers and
-	// reduced in chunk-index order, so results are bit-identical for
-	// every worker count. Requires streaming (the materialised sweep
-	// is sequential). Excluded from replay keys and cache keys.
-	DisableExactParallel bool
 
 	// DisableSweepReuse turns off the two cross-sweep reuse ladders of
 	// the branch-and-bound exact sweep: incumbent seeding (the critical
@@ -167,8 +154,8 @@ func (o Options) Normalised() Options {
 // the precondition for AnalyzeFrom replaying one run's recorded
 // rounds inside another. Fields that never change results (Workers,
 // Recorder, DisableReplayState and the exact-sweep toggles
-// DisableExactStreaming / DisableExactPruning / DisableExactParallel)
-// are deliberately absent. This is the
+// DisableExactStreaming / DisableExactPruning) are deliberately
+// absent. This is the
 // single enumeration of semantics-affecting options: the analysis
 // service's memo keys embed it too, so a future Options field added
 // here is automatically respected by both the replay gate and the
@@ -285,22 +272,23 @@ type Result struct {
 	// prune skipped across every task and round of this analysis — the
 	// work the branch-and-bound discipline saved. Always 0 for the
 	// approximate analysis and under Options.DisableExactPruning. Like
-	// Delta it is a work profile, not part of the analysis outcome:
-	// the count depends on scheduling when sweeps run chunk-parallel
-	// (each chunk prunes against its own running best plus a shared
-	// monotone bound), on the replay depth on the delta path
-	// (replayed tasks sweep nothing, so they contribute no prunes),
-	// and on the engine-resident sweep seeds of earlier analyses —
-	// the bounds and verdict are bit-identical regardless.
+	// Delta it is a work profile, not part of the analysis outcome.
+	// From a fresh engine it is a deterministic function of the system
+	// and the options, whatever Workers is. It does depend on the
+	// replay depth on the delta path (replayed tasks sweep nothing, so
+	// they contribute no prunes) and on the engine-resident sweep seeds
+	// of earlier analyses — the bounds and verdict are bit-identical
+	// regardless.
 	ScenariosPruned int64
 
 	// SubtreesPruned counts the whole-subtree cursor jumps among the
 	// pruned scenarios: each is one branch-and-bound decision that
-	// skipped a contiguous run of scenario vectors (the subtree fixing
-	// a failing suffix of axis digits) with a single seek instead of
-	// stepping through them. The ratio ScenariosPruned/SubtreesPruned
-	// is the average subtree size the bounds refuted. A work profile
-	// like ScenariosPruned, with the same caveats.
+	// skipped a contiguous run of scenario vectors (the subtree sharing
+	// a refuted initiator of the transaction under analysis) with a
+	// single seek instead of stepping through them. The ratio
+	// ScenariosPruned/SubtreesPruned is the average subtree size the
+	// bounds refuted. A work profile like ScenariosPruned, with the
+	// same caveats.
 	SubtreesPruned int64
 
 	// history is the replay state: every holistic round's detached

@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync/atomic"
 
-	"hsched/internal/batch"
 	"hsched/internal/model"
 )
 
@@ -24,24 +22,13 @@ type initiator struct{ tr, k int }
 //   - nu != nil: an exact scenario vector of Section 3.1.1 — one
 //     initiator per transaction with interfering tasks (Eq. 12).
 //
-// On the approximate encoding, pinTr optionally pins ONE further
-// transaction to an exact initiator: pinTr is the 1-based transaction
-// index (0, the zero value, means no pin — a 0-based field would make
-// the zero-value scenario silently pin transaction 0) and pinK the
-// initiator task charged via W^pinK instead of W*. The pinned form is
-// what the per-axis subtree bound tables of the branch-and-bound sweep
-// are computed from (see prefixBounds); the plain exact encoding
-// ignores both fields.
-//
 // Scenarios are plain data (no captured closures): the interference
 // they induce is evaluated by analyzer.interference, which keeps the
 // per-scenario footprint to a few words and lets the engine pool the
 // backing slices across calls.
 type scenario struct {
-	c     int
-	pinTr int
-	pinK  int
-	nu    []initiator
+	c  int
+	nu []initiator
 }
 
 // taskScratch holds the per-task-analysis buffers (scenario sets,
@@ -59,15 +46,6 @@ type taskScratch struct {
 	// O(count·axes) backing the materialised sweep used to pin here.
 	nu     []initiator
 	bounds []float64
-
-	// Branch-and-bound scratch: boundTab holds the per-axis subtree
-	// bound tables (sub-slices of boundFlat), strides the mixed-radix
-	// subtree sizes and sufMin the cursor's running suffix minima; see
-	// prefixBounds and sweepRange.
-	boundTab  [][]float64
-	boundFlat []float64
-	strides   []int
-	sufMin    []float64
 }
 
 // shrink drops scratch buffers that grew past a high-water cap, so a
@@ -100,18 +78,6 @@ func (ts *taskScratch) shrink() {
 	}
 	if cap(ts.bounds) > maxSmallRetain {
 		ts.bounds = nil
-	}
-	if cap(ts.boundTab) > maxSmallRetain {
-		ts.boundTab = nil
-	}
-	if cap(ts.boundFlat) > maxSmallRetain {
-		ts.boundFlat = nil
-	}
-	if cap(ts.strides) > maxSmallRetain {
-		ts.strides = nil
-	}
-	if cap(ts.sufMin) > maxSmallRetain {
-		ts.sufMin = nil
 	}
 }
 
@@ -181,15 +147,15 @@ func (an *analyzer) responseTime(ctx context.Context, a, b int, ts *taskScratch)
 	return an.exactSweep(ctx, a, b, hp, alpha, ts)
 }
 
-// exactSweep runs the exact scenario enumeration of Section 3.1.1 as a
-// streamed, branch-and-bound, optionally chunk-parallel sweep over the
-// mixed-radix scenario space — the same scenarios, in the same
-// deterministic order, as the historical materialised sweep, with
-// bit-identical results for every toggle and worker combination. Two
-// layers of state make it a true tree search instead of a per-scenario
-// filter: per-axis admissible bound tables let the cursor skip whole
-// subtrees with one seek (see sweepRange), and the critical scenario of
-// the previous sweep of the same task — last round, or last analysis
+// exactSweep runs the exact scenario enumeration of Section 3.1.1 as
+// one sequential, streamed, branch-and-bound sweep over the mixed-radix
+// scenario space — the same scenarios, in the same deterministic order,
+// as the historical materialised sweep, with bit-identical results for
+// every toggle. Two pieces of state make it a tree search instead of a
+// per-scenario filter: the per-initiator bound of the transaction under
+// analysis lets the cursor skip the whole subtree sharing a refuted
+// initiator in one step (see sweepCursor), and the critical scenario
+// of the previous sweep of the same task — last round, or last analysis
 // via Engine.AnalyzeFrom — is re-evaluated under the current inputs to
 // seed the incumbent the bounds are pruned against.
 func (an *analyzer) exactSweep(ctx context.Context, a, b int, hp [][]int, alpha float64, ts *taskScratch) (float64, critical, sweepStats, error) {
@@ -225,11 +191,6 @@ func (an *analyzer) exactSweep(ctx context.Context, a, b int, hp [][]int, alpha 
 		return r, crit, st, nil
 	}
 
-	var bb *sweepBounds
-	if bounds != nil {
-		bb = an.prefixBounds(a, b, hp, alpha, axes, aAxis, count, bounds, ts)
-	}
-
 	// Incumbent seeding: re-evaluate the critical scenario recorded by
 	// the previous sweep of this task under the CURRENT offsets and
 	// jitters. Whatever inputs that scenario was recorded under, it is
@@ -249,7 +210,7 @@ func (an *analyzer) exactSweep(ctx context.Context, a, b int, hp [][]int, alpha 
 	// are small but whose seeds are near-perfect.
 	reuse := !an.opt.DisableSweepReuse
 	floor := 0.0
-	if bb != nil && reuse {
+	if bounds != nil && reuse {
 		if seed := an.slabs[a].seedNu[b]; len(seed) > 0 {
 			if !seedValidFor(axes, seed) {
 				st.discarded = true
@@ -269,90 +230,16 @@ func (an *analyzer) exactSweep(ctx context.Context, a, b int, hp [][]int, alpha 
 		}
 	}
 
-	// Chunked dispatch: split the cursor range across the round's
-	// spare workers when the sweep is large enough to amortise the
-	// fan-out. The chunk count is sized to the engine's whole worker
-	// bound, not the budget's dispatch-time slack: a saturated round
-	// lends workers back as its cheap tasks drain (batch.Options.Lend),
-	// and MapRange re-polls the budget at every chunk boundary, so
-	// late-freed workers still land on the remaining chunks. Chunk
-	// results are reduced in chunk-index order below, which reproduces
-	// the sequential sweep's first-maximum tie breaking exactly.
-	chunks := 1
-	if !an.opt.DisableExactParallel && an.budget != nil && an.opt.workers() > 1 && count >= 2*exactChunkMin {
-		chunks = count / exactChunkMin
-		if m := 4 * an.opt.workers(); chunks > m {
-			chunks = m
-		}
-	}
-	if chunks <= 1 {
-		if cap(ts.sufMin) < len(axes) {
-			ts.sufMin = make([]float64, len(axes))
-		}
-		res, err := an.sweepRange(ctx, a, b, axes, aAxis, 0, count, hp, alpha, bb, floor, reuse, nil, ts.pick[:len(axes)], ts.nu[:len(axes)], ts.sufMin[:len(axes)])
-		if err != nil {
-			return 0, unboundedCritical, st, err
-		}
-		st.pruned, st.subtrees = res.pruned, res.subtrees
-		if !res.finite {
-			return math.Inf(1), unboundedCritical, st, nil
-		}
-		an.storeSeed(a, b, res.critNu)
-		return res.best, res.crit, st, nil
-	}
-
-	// Frontier-aware chunk boundaries: aligning the cut points to the
-	// largest subtree stride that still fits a chunk keeps whole
-	// subtrees inside one chunk, so a failing prefix bound skips them
-	// with a single seek instead of two chunks each re-deciding half.
-	align := 1
-	if bb != nil {
-		target := count / chunks
-		for j := 1; j < len(bb.strides); j++ {
-			if bb.strides[j] > target {
-				break
-			}
-			align = bb.strides[j]
-		}
-	}
-
-	var shared atomic.Uint64 // Float64bits of the best response any chunk evaluated
-	if floor > 0 {
-		// The incumbent floor enters the chunked sweep as the initial
-		// shared bound: chunks already prune strictly against it
-		// (bound < shared), exactly the tie discipline the floor needs.
-		shared.Store(math.Float64bits(floor))
-	}
-	parts, err := batch.MapRangeAligned(count, chunks, align, an.budget, func(chunk, lo, hi int) (chunkResult, error) {
-		// Chunk workers need private cursor state; everything else
-		// (axes, bounds, slabs, the system) is read-only for the round.
-		pick := make([]int, len(axes))
-		nu := make([]initiator, len(axes))
-		sufMin := make([]float64, len(axes))
-		return an.sweepRange(ctx, a, b, axes, aAxis, lo, hi, hp, alpha, bb, floor, reuse, &shared, pick, nu, sufMin)
-	})
+	res, err := an.sweepCursor(ctx, a, b, axes, aAxis, count, hp, alpha, bounds, floor, reuse, ts.pick[:len(axes)], ts.nu[:len(axes)])
 	if err != nil {
 		return 0, unboundedCritical, st, err
 	}
-	best := 0.0
-	crit := critical{initiator: b}
-	var critNu []initiator
-	finite := true
-	for _, p := range parts {
-		st.pruned += p.pruned
-		st.subtrees += p.subtrees
-		if !p.finite {
-			finite = false
-		}
-		if p.best > best {
-			best, crit, critNu = p.best, p.crit, p.critNu
-		}
-	}
-	if !finite {
+	st.pruned, st.subtrees = res.pruned, res.subtrees
+	if !res.finite {
 		return math.Inf(1), unboundedCritical, st, nil
 	}
-	an.storeSeed(a, b, critNu)
-	return best, crit, st, nil
+	an.storeSeed(a, b, res.critNu)
+	return res.best, res.crit, st, nil
 }
 
 // storeSeed records the critical scenario vector of a completed sweep
@@ -398,18 +285,12 @@ func seedValidFor(axes []axis, seed []initiator) bool {
 	return true
 }
 
-// exactChunkMin is the smallest cursor range worth handing to a
-// borrowed goroutine: below it the chunk's fixed-point work does not
-// amortise the dispatch, and the per-chunk prune loses too much of its
-// running-best context.
-const exactChunkMin = 2048
-
-// chunkResult is one contiguous cursor range's reduction: its best
-// response with the scenario attaining it (critNu is the full vector,
-// recorded for the next sweep's incumbent seed), the scenarios the
-// prune skipped with the whole-subtree jumps among them, and whether
-// every evaluated fixed point converged.
-type chunkResult struct {
+// sweepResult is one exact sweep's reduction: its best response with
+// the scenario attaining it (critNu is the full vector, recorded for
+// the next sweep's incumbent seed), the scenarios the prune skipped
+// with the whole-subtree jumps among them, and whether every evaluated
+// fixed point converged.
+type sweepResult struct {
 	best     float64
 	crit     critical
 	critNu   []initiator
@@ -418,88 +299,52 @@ type chunkResult struct {
 	finite   bool
 }
 
-// sweepBounds is the branch-and-bound state shared (read-only) by the
-// chunks of one exact sweep. tab[j], when non-nil, is the subtree
-// bound table of axis j: tab[j][d] upper-bounds the response of EVERY
-// scenario whose axis-j digit is d, whatever the other axes pick (see
-// prefixBounds for the admissibility argument). strides[j] is the size
-// of the subtree that fixes the digits of axes ≥ j — the run of
-// consecutive flat indices a failing bound lets the cursor skip.
-type sweepBounds struct {
-	tab     [][]float64
-	strides []int
-}
-
-// sweepRange evaluates the exact scenarios with flat indices [lo, hi)
-// in cursor order. bb, when non-nil, arms the branch-and-bound prune:
-// the cursor maintains sufMin[j] = min over axes i ≥ j of
-// tab[i][pick[i]] — an admissible bound on every scenario of the
-// subtree that keeps the digits of axes ≥ j — and when the tightest of
-// them (sufMin[0], the current scenario's own bound) cannot strictly
-// beat the incumbent, it finds the LARGEST failing j (the failing set
-// is down-closed: sufMin grows with j and the predicate is monotone)
-// and seeks straight past the whole subtree instead of stepping
-// through it. floor is the incumbent seeded from a previous sweep's
-// critical scenario re-evaluated under the current inputs; it is a
-// response some in-space scenario attains, so pruning against it is
-// strict (bound < floor) — a tying scenario may be the first maximum —
-// and it never enters res.best. trackNu records the running best's full
-// scenario vector into res.critNu for the next sweep's seed; the caller
-// gates it on the reuse toggle. shared, when non-nil, is the
-// cross-chunk Float64bits of the best response any chunk has evaluated
-// (pre-seeded with the floor); pruning against it is strict for the
-// same tie reason, whereas the chunk-local best may prune ties
-// (bound <= best) — a tie with an earlier in-range scenario never
-// updates best under the strict r > best rule.
-func (an *analyzer) sweepRange(ctx context.Context, a, b int, axes []axis, aAxis, lo, hi int, hp [][]int, alpha float64, bb *sweepBounds, floor float64, trackNu bool, shared *atomic.Uint64, pick []int, nu []initiator, sufMin []float64) (chunkResult, error) {
-	cursorSeek(axes, pick, nu, lo)
-	res := chunkResult{crit: critical{initiator: b}, finite: true}
-	if bb != nil {
-		refreshSufMin(bb.tab, pick, sufMin, len(axes)-1)
+// sweepCursor evaluates the count exact scenarios in cursor order.
+// bounds, when non-nil, arms the branch-and-bound prune: bounds[c]
+// upper-bounds every scenario whose Γa initiator is c (pruneBounds).
+// Axis 0 is the fastest-varying digit, so the scenarios that keep the
+// current digits of axes ≥ aAxis form one aligned run of span flat
+// indices, all sharing the current initiator's bound; when that bound
+// cannot strictly beat the incumbent, the cursor jumps past the rest
+// of the run in one step instead of stepping through it. floor is the
+// incumbent seeded from a previous sweep's critical scenario
+// re-evaluated under the current inputs; it is a response some
+// in-space scenario attains, so pruning against it is strict
+// (bound < floor) — a tying scenario may be the first maximum — and it
+// never enters res.best, whereas the running best may prune ties
+// (bound <= best): a tie with an earlier scenario never updates best
+// under the strict r > best rule. trackNu records the running best's
+// full scenario vector into res.critNu for the next sweep's seed; the
+// caller gates it on the reuse toggle.
+func (an *analyzer) sweepCursor(ctx context.Context, a, b int, axes []axis, aAxis, count int, hp [][]int, alpha float64, bounds []float64, floor float64, trackNu bool, pick []int, nu []initiator) (sweepResult, error) {
+	cursorReset(axes, pick, nu)
+	res := sweepResult{crit: critical{initiator: b}, finite: true}
+	span := 1
+	for _, ax := range axes[:aAxis] {
+		span *= len(ax.cands)
 	}
 	steps := 0
-	for idx := lo; idx < hi; {
+	for idx := 0; idx < count; {
 		if steps%cancelCheckInterval == 0 && ctx != nil {
 			if err := ctx.Err(); err != nil {
-				return chunkResult{}, wrapCancelled(err)
+				return sweepResult{}, wrapCancelled(err)
 			}
 		}
 		steps++
-		if bb != nil {
-			thr := floor
-			if shared != nil {
-				if sv := math.Float64frombits(shared.Load()); sv > thr {
-					thr = sv
+		if bounds != nil {
+			if bd := bounds[nu[aAxis].k]; bd <= res.best || bd < floor {
+				// Park the faster digits on their last candidates, so
+				// the next step carries straight into axis aAxis.
+				skip := span - idx%span
+				res.pruned += int64(skip)
+				if span > 1 {
+					res.subtrees++
 				}
-			}
-			if bd := sufMin[0]; bd <= res.best || bd < thr {
-				// Find the largest axis whose whole remaining subtree the
-				// failing bound covers, and skip it in one jump.
-				jmax := 0
-				for j := len(axes) - 1; j >= 1; j-- {
-					if x := sufMin[j]; x <= res.best || x < thr {
-						jmax = j
-						break
-					}
+				for i := range axes[:aAxis] {
+					pick[i] = len(axes[i].cands) - 1
 				}
-				if jmax == 0 {
-					res.pruned++
-					refreshSufMin(bb.tab, pick, sufMin, cursorNext(axes, pick, nu))
-					idx++
-					continue
-				}
-				next := idx - idx%bb.strides[jmax] + bb.strides[jmax]
-				if next > hi {
-					next = hi
-				}
-				res.pruned += int64(next - idx)
-				res.subtrees++
-				idx = next
-				if idx >= hi {
-					break
-				}
-				cursorSeek(axes, pick, nu, idx)
-				refreshSufMin(bb.tab, pick, sufMin, len(axes)-1)
+				cursorNext(axes, pick, nu)
+				idx += skip
 				continue
 			}
 		}
@@ -517,57 +362,16 @@ func (an *analyzer) sweepRange(ctx context.Context, a, b int, axes []axis, aAxis
 			if trackNu {
 				res.critNu = append(res.critNu[:0], nu...)
 			}
-			if shared != nil {
-				sharedMax(shared, r)
-			}
 		}
-		top := cursorNext(axes, pick, nu)
-		if bb != nil {
-			refreshSufMin(bb.tab, pick, sufMin, top)
-		}
+		cursorNext(axes, pick, nu)
 		idx++
 	}
 	return res, nil
 }
 
-// refreshSufMin rebuilds the suffix minima of the axes ≤ top after the
-// cursor digits of those axes moved; entries above top are unchanged
-// by construction of the mixed-radix order (cursorNext reports the
-// highest rolled axis). Axes without a bound table contribute +Inf —
-// they never tighten a subtree bound, only their neighbours do.
-func refreshSufMin(tab [][]float64, pick []int, sufMin []float64, top int) {
-	m := math.Inf(1)
-	if top+1 < len(sufMin) {
-		m = sufMin[top+1]
-	}
-	for j := top; j >= 0; j-- {
-		if t := tab[j]; t != nil {
-			if v := t[pick[j]]; v < m {
-				m = v
-			}
-		}
-		sufMin[j] = m
-	}
-}
-
-// sharedMax raises the shared best-response cell to r if r exceeds it
-// (monotone, so concurrent updates commute). Only ever called with
-// r > 0: sweep bests start at 0 and only strict improvements publish.
-func sharedMax(s *atomic.Uint64, r float64) {
-	for {
-		cur := s.Load()
-		if math.Float64frombits(cur) >= r {
-			return
-		}
-		if s.CompareAndSwap(cur, math.Float64bits(r)) {
-			return
-		}
-	}
-}
-
 // sweepList evaluates an explicit scenario list in order — the
 // approximate path's reduced set, or the materialised exact sweep.
-// bounds enables the same admissible prune as sweepRange (nil for the
+// bounds enables the same admissible prune as sweepCursor (nil for the
 // approximate path, whose scenarios ARE the bounds). ok is false when
 // a scenario's busy period diverged (the caller reports +Inf).
 func (an *analyzer) sweepList(ctx context.Context, a, b int, scenarios []scenario, hp [][]int, alpha float64, bounds []float64) (float64, critical, int64, bool, error) {
@@ -617,9 +421,7 @@ func (an *analyzer) overloaded(a, b int, alpha float64) bool {
 // interference returns the total higher-priority demand the scenario sc
 // charges to a busy period of length t of τa,b (already scaled by 1/α),
 // excluding the jobs of τa,b itself: Eq. 13 for exact scenario vectors,
-// Eq. 15/16 for the approximate reduction — with at most one further
-// transaction pinned to an exact initiator (sc.pinTr, 1-based; the
-// pinned form underlies the per-axis subtree bound tables).
+// Eq. 15/16 for the approximate reduction.
 func (an *analyzer) interference(a int, sc scenario, hp [][]int, alpha, t float64) float64 {
 	sum := 0.0
 	if sc.nu == nil {
@@ -627,12 +429,9 @@ func (an *analyzer) interference(a int, sc scenario, hp [][]int, alpha, t float6
 			if len(hpI) == 0 {
 				continue
 			}
-			switch {
-			case i == a:
+			if i == a {
 				sum += an.wk(a, sc.c, hpI, alpha, t)
-			case i+1 == sc.pinTr:
-				sum += an.wk(i, sc.pinK, hpI, alpha, t)
-			default:
+			} else {
 				sum += an.wstar(i, hpI, alpha, t)
 			}
 		}
@@ -731,135 +530,30 @@ func (an *analyzer) pruneBounds(a, b int, hp [][]int, alpha float64, cands []int
 	return bounds
 }
 
-// pairBoundAmortise gates the pairwise bound tables: one table entry
-// costs |cands_a| approximate fixed points (each comparable to a few
-// scenario evaluations, the W* sums included), so the tables only pay
-// for themselves when the scenario product dwarfs their construction.
-// Below the gate the sweep keeps only the free aAxis table — the
-// per-initiator bounds pruneBounds computed anyway.
-const pairBoundAmortise = 8
-
-// prefixBounds assembles the branch-and-bound state of one exact
-// sweep: the per-axis subtree bound tables and the mixed-radix
-// strides. The aAxis table is the per-initiator bound pruneBounds
-// already computed, re-indexed by candidate position. For every other
-// axis j — when count amortises the construction — entry d is
-//
-//	max over c ∈ cands_a of the fixed point of the approximate
-//	scenario charging Γa its exact W^c, axis j's transaction its
-//	exact W^{cands_j[d]}, and every remaining transaction W*,
-//
-// which is admissible for EVERY exact scenario whose axis-j digit is d:
-// the pinned interference dominates the exact one termwise (W* ≥ every
-// W^k pointwise, Eq. 15), the busy-period and completion fixed points
-// are monotone in the interference, the dominated job range is a
-// subset, and the max over c covers whichever Γa initiator the
-// scenario picks (the phase ϕ of Eq. 10 depends on it). A subtree
-// fixing the digits of axes ≥ j therefore has min over i ≥ j of
-// tab[i][pick[i]] as an upper bound on every response inside it — the
-// suffix minimum sweepRange prunes whole subtrees against. An entry
-// whose own fixed point diverges is +Inf, which never prunes.
-func (an *analyzer) prefixBounds(a, b int, hp [][]int, alpha float64, axes []axis, aAxis, count int, bounds []float64, ts *taskScratch) *sweepBounds {
-	n := len(axes)
-	if cap(ts.strides) < n+1 {
-		ts.strides = make([]int, n+1)
-	}
-	strides := ts.strides[:n+1]
-	strides[0] = 1
-	for j := 0; j < n; j++ {
-		strides[j+1] = strides[j] * len(axes[j].cands)
-	}
-
-	if cap(ts.boundTab) < n {
-		ts.boundTab = make([][]float64, n)
-	}
-	tab := ts.boundTab[:n]
-	for j := range tab {
-		tab[j] = nil
-	}
-
-	pairCost := 0
-	for j, ax := range axes {
-		if j != aAxis {
-			pairCost += len(ax.cands)
-		}
-	}
-	pairCost *= len(axes[aAxis].cands)
-	buildPairs := pairCost > 0 && count >= pairBoundAmortise*pairCost
-
-	need := len(axes[aAxis].cands)
-	if buildPairs {
-		need += pairCost / len(axes[aAxis].cands)
-	}
-	if cap(ts.boundFlat) < need {
-		ts.boundFlat = make([]float64, 0, need)
-	}
-	flat := ts.boundFlat[:0]
-
-	start := len(flat)
-	for _, c := range axes[aAxis].cands {
-		flat = append(flat, bounds[c])
-	}
-	tab[aAxis] = flat[start:len(flat):len(flat)]
-
-	if buildPairs {
-		for j, ax := range axes {
-			if j == aAxis {
-				continue
-			}
-			start = len(flat)
-			for _, k := range ax.cands {
-				bd := 0.0
-				for _, c := range axes[aAxis].cands {
-					r, _, ok := an.scenarioResponse(a, b, scenario{c: c, pinTr: ax.tr + 1, pinK: k}, hp, alpha)
-					if !ok {
-						bd = math.Inf(1)
-						break
-					}
-					if r > bd {
-						bd = r
-					}
-				}
-				flat = append(flat, bd)
-			}
-			tab[j] = flat[start:len(flat):len(flat)]
-		}
-	}
-
-	ts.boundTab, ts.boundFlat, ts.strides = tab, flat, strides
-	return &sweepBounds{tab: tab, strides: strides}
-}
-
-// cursorSeek positions the mixed-radix scenario cursor at flat index
-// idx: pick[i] is the candidate index of axis i — axis 0 is the
+// cursorReset positions the mixed-radix scenario cursor on the first
+// scenario: pick[i] is the candidate index of axis i — axis 0 is the
 // fastest-varying digit, exactly the enumeration order of the
 // materialised sweep — and nu mirrors it as the (transaction,
 // initiator) pairs the interference sum consumes, in axis order.
-func cursorSeek(axes []axis, pick []int, nu []initiator, idx int) {
+func cursorReset(axes []axis, pick []int, nu []initiator) {
 	for i := range axes {
-		n := len(axes[i].cands)
-		d := idx % n
-		idx /= n
-		pick[i] = d
-		nu[i] = initiator{tr: axes[i].tr, k: axes[i].cands[d]}
+		pick[i] = 0
+		nu[i] = initiator{tr: axes[i].tr, k: axes[i].cands[0]}
 	}
 }
 
 // cursorNext advances the cursor one scenario, rewriting only the nu
-// entries of the axes whose digit moved — amortised O(1) per step. It
-// returns the highest axis index whose digit changed, which is exactly
-// the prefix of suffix minima the branch-and-bound sweep must refresh.
-func cursorNext(axes []axis, pick []int, nu []initiator) int {
+// entries of the axes whose digit moved — amortised O(1) per step.
+func cursorNext(axes []axis, pick []int, nu []initiator) {
 	for i := range axes {
 		pick[i]++
 		if pick[i] < len(axes[i].cands) {
 			nu[i] = initiator{tr: axes[i].tr, k: axes[i].cands[pick[i]]}
-			return i
+			return
 		}
 		pick[i] = 0
 		nu[i] = initiator{tr: axes[i].tr, k: axes[i].cands[0]}
 	}
-	return len(axes) - 1
 }
 
 // materialiseScenarios expands the axes into the full scenario list by
@@ -870,7 +564,7 @@ func cursorNext(axes []axis, pick []int, nu []initiator) int {
 func (an *analyzer) materialiseScenarios(axes []axis, aAxis, count int, ts *taskScratch) []scenario {
 	pick := ts.pick[:len(axes)]
 	nu := ts.nu[:len(axes)]
-	cursorSeek(axes, pick, nu, 0)
+	cursorReset(axes, pick, nu)
 	nuBuf := make([]initiator, 0, count*len(axes))
 	scenarios := ts.scenarios[:0]
 	for idx := 0; idx < count; idx++ {

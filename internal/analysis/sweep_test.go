@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -13,9 +14,9 @@ import (
 
 // seedSweepOptions returns the reference configuration of the exact
 // analysis: the historical materialise-then-evaluate sweep with every
-// acceleration (streaming, pruning, intra-task parallelism) disabled
-// and a strictly sequential engine. Every accelerated configuration
-// must reproduce its results bit for bit.
+// acceleration (streaming, pruning) disabled and a strictly
+// sequential engine. Every accelerated configuration must reproduce
+// its results bit for bit.
 func seedSweepOptions() analysis.Options {
 	return analysis.Options{
 		Exact:                 true,
@@ -23,7 +24,6 @@ func seedSweepOptions() analysis.Options {
 		MaxIterations:         40,
 		DisableExactStreaming: true,
 		DisableExactPruning:   true,
-		DisableExactParallel:  true,
 	}
 }
 
@@ -91,15 +91,15 @@ func exactHeavySystem(transactions, chainLen int) *model.System {
 	return sys
 }
 
-// TestExactSweepBitIdentity is the tentpole's metamorphic contract:
-// the streamed cursor, the admissible prune and the chunk-parallel
-// dispatch — in every on/off combination and for every worker count —
-// must reproduce the seed sweep's results bit for bit: all task
-// bounds, critical scenarios, iteration counts and verdicts.
+// TestExactSweepBitIdentity is the exact sweep's metamorphic contract:
+// the streamed cursor and the admissible prune — in every on/off
+// combination and for every worker count — must reproduce the seed
+// sweep's results bit for bit: all task bounds, critical scenarios,
+// iteration counts and verdicts.
 func TestExactSweepBitIdentity(t *testing.T) {
 	type toggles struct {
-		name                       string
-		streamed, pruned, parallel bool
+		name             string
+		streamed, pruned bool
 	}
 	onOff := func(on bool, tag string) string {
 		if on {
@@ -110,11 +110,9 @@ func TestExactSweepBitIdentity(t *testing.T) {
 	var combos []toggles
 	for s := 0; s < 2; s++ {
 		for p := 0; p < 2; p++ {
-			for q := 0; q < 2; q++ {
-				c := toggles{streamed: s == 1, pruned: p == 1, parallel: q == 1}
-				c.name = onOff(c.streamed, "stream") + "/" + onOff(c.pruned, "prune") + "/" + onOff(c.parallel, "par")
-				combos = append(combos, c)
-			}
+			c := toggles{streamed: s == 1, pruned: p == 1}
+			c.name = onOff(c.streamed, "stream") + "/" + onOff(c.pruned, "prune")
+			combos = append(combos, c)
 		}
 	}
 
@@ -129,7 +127,6 @@ func TestExactSweepBitIdentity(t *testing.T) {
 				opt.Workers = workers
 				opt.DisableExactStreaming = !c.streamed
 				opt.DisableExactPruning = !c.pruned
-				opt.DisableExactParallel = !c.parallel
 				got, err := analysis.NewEngine(opt).Analyze(sys)
 				if err != nil {
 					t.Fatalf("system %d %s workers=%d: %v", si, c.name, workers, err)
@@ -146,14 +143,14 @@ func TestExactSweepBitIdentity(t *testing.T) {
 }
 
 // TestExactSweepBitIdentityHeavy covers the regime the small random
-// systems cannot reach: a sweep large enough (≥ 10^4 scenario vectors
-// on its costliest tasks) for the chunk-parallel dispatch to actually
-// engage, with borrowed goroutines, a shared cross-chunk prune bound
-// and chunk-order reduction all in play. One static pass (the sweep
-// itself, no holistic iteration on top) keeps the -race run short.
+// systems cannot reach: sweeps of thousands of scenario vectors, where
+// the whole-subtree seeks dominate the walk, run next to each other on
+// several workers. Results must match the seed sweep, and the work
+// profile of a fresh engine must not depend on the worker count. One
+// static pass (the sweep itself, no holistic iteration on top) keeps
+// the -race run short.
 func TestExactSweepBitIdentityHeavy(t *testing.T) {
-	// Costliest tasks face 6^5 = 7776 scenario vectors — past the
-	// 2·exactChunkMin threshold, so the sweep actually splits.
+	// Costliest tasks face 6^5 = 7776 scenario vectors.
 	sys := exactHeavySystem(5, 6)
 	seedEng := analysis.NewEngine(seedSweepOptions())
 	seed, err := seedEng.AnalyzeStatic(sys)
@@ -161,6 +158,7 @@ func TestExactSweepBitIdentityHeavy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pruned := range []bool{false, true} {
+		var first *analysis.Result
 		for _, workers := range []int{1, 4, 8} {
 			opt := analysis.Options{
 				Exact: true, Workers: workers,
@@ -172,6 +170,12 @@ func TestExactSweepBitIdentityHeavy(t *testing.T) {
 			}
 			if !resultsIdentical(seed, got) {
 				t.Fatalf("pruned=%v workers=%d: heavy sweep diverged from the seed sweep", pruned, workers)
+			}
+			if first == nil {
+				first = got
+			} else if got.ScenariosPruned != first.ScenariosPruned || got.SubtreesPruned != first.SubtreesPruned {
+				t.Fatalf("pruned=%v workers=%d: work profile %d/%d scenarios/subtrees pruned, want %d/%d as at 1 worker",
+					pruned, workers, got.ScenariosPruned, got.SubtreesPruned, first.ScenariosPruned, first.SubtreesPruned)
 			}
 		}
 	}
@@ -254,11 +258,12 @@ func TestScenarioCountSaturates(t *testing.T) {
 }
 
 // BenchmarkExactSweep measures the exact sweep on the heavy workload
-// (≥ 10^5 scenario vectors on the costliest tasks) in the three
-// configurations the tentpole compares: the seed sweep, the streamed
-// and pruned sequential sweep, and the fully parallel sweep at 8
-// workers. One static pass isolates the sweep itself from holistic
-// iteration effects.
+// (≥ 10^5 scenario vectors on the costliest tasks): the seed sweep and
+// the streamed, pruned sweep on one reused engine, whose resident
+// sweep seeds carry over between iterations, and the same sweep from a
+// fresh engine per iteration at 1 and 2 workers, which pays every
+// bound and seed from scratch as a first query does. One static pass
+// isolates the sweep itself from holistic iteration effects.
 func BenchmarkExactSweep(b *testing.B) {
 	sys := exactHeavySystem(6, 7) // lowest-priority tasks: 7^6 = 117 649 scenarios
 	if ex, _ := analysis.ScenarioCount(sys, 5, 6); ex < 100_000 {
@@ -281,7 +286,14 @@ func BenchmarkExactSweep(b *testing.B) {
 	b.Run("streamed-pruned-1w", func(b *testing.B) {
 		run(b, analysis.Options{Exact: true, Workers: 1})
 	})
-	b.Run("full-8w", func(b *testing.B) {
-		run(b, analysis.Options{Exact: true, Workers: 8})
-	})
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("cold-%dw", workers), func(b *testing.B) {
+			opt := analysis.Options{Exact: true, Workers: workers}
+			for i := 0; i < b.N; i++ {
+				if _, err := analysis.NewEngine(opt).AnalyzeStatic(sys); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -22,11 +22,11 @@
 //	  ▼
 //	resident engine ────────────────► cold Analyze        (full work)
 //	                                    │ exact sweeps stream from a
-//	                                    │ mixed-radix cursor, jump
-//	                                    │ refuted subtrees via admissible
-//	                                    │ prefix bounds (Stats.Scenarios-
-//	                                    │ Pruned / SubtreesPruned) and
-//	                                    ▼ chunk-split onto idle workers
+//	                                    │ mixed-radix cursor and jump
+//	                                    │ refuted subtrees via the
+//	                                    │ admissible initiator bound
+//	                                    │ (Stats.ScenariosPruned /
+//	                                    ▼ SubtreesPruned)
 //
 // The mechanisms, top to bottom:
 //
