@@ -158,13 +158,13 @@ type (
 	// interference rows, scenario and result buffers) and amortises it
 	// across calls, running each fixed-point round as a staged
 	// pipeline (interference construction → scenario enumeration →
-	// parallel per-task responses → jitter propagation). Exact
-	// scenario sweeps stream from a mixed-radix cursor and run true
-	// branch-and-bound: admissible prefix bounds jump whole refuted
-	// subtrees (AnalysisResult.ScenariosPruned / SubtreesPruned count
-	// the savings) and large sweeps split across the workers a round
-	// leaves idle. One Analyzer serves one goroutine; results are
-	// identical for every worker count and every sweep toggle.
+	// parallel per-task responses → jitter propagation). Each exact
+	// scenario sweep streams from a mixed-radix cursor, sequentially
+	// on the goroutine computing its task, and runs true
+	// branch-and-bound: admissible per-initiator bounds jump whole
+	// refuted subtrees (AnalysisResult.ScenariosPruned /
+	// SubtreesPruned count the savings). One Analyzer serves one
+	// goroutine; results are identical for every worker count.
 	// Analyzer.AnalyzeFrom re-analyses an edited system incrementally,
 	// seeded by a previous result — including each sweep's critical
 	// scenario, re-evaluated as the next sweep's incumbent floor, the

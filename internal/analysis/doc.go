@@ -28,9 +28,12 @@
 //  1. interference construction — bind the working system, rebuild
 //     the hp cache only when the shape changed, refresh the reduced
 //     offsets of Eq. (10);
-//  2. scenario enumeration — per task, materialise the approximate
-//     (Sec. 3.1.2) or exact (Sec. 3.1.1) scenario set into pooled
-//     buffers;
+//  2. scenario enumeration — per task, one loop evaluates the
+//     approximate scenario of every busy-period initiator of the
+//     task's own transaction (Sec. 3.1.2). The approximate analysis
+//     takes their maximum; the exact analysis (Sec. 3.1.1) uses them
+//     as admissible bounds of a branch-and-bound sweep that streams
+//     the scenario vectors one at a time from a mixed-radix cursor;
 //  3. per-task response — the tasks of a round are independent, so
 //     their response times (Eq. 13-16) are computed on
 //     Options.Workers goroutines via the batch runner and collected

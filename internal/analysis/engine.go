@@ -28,12 +28,12 @@ import (
 //  1. interference construction — the analyzer rebinds the working
 //     system, rebuilding only the hp rows an edit invalidated and
 //     refreshing the reduced offsets of Eq. (10);
-//  2. scenario enumeration — per task, the approximate scenario set
-//     (Sec. 3.1.2) is materialised into pooled buffers, while the
-//     exact scenario space (Sec. 3.1.1) is streamed one vector at a
-//     time from a mixed-radix cursor and swept sequentially, pruned
-//     by the admissible per-initiator bound of Eq. 15
-//     (Result.ScenariosPruned counts the skips);
+//  2. scenario enumeration — per task, one loop evaluates the
+//     approximate scenario of every Γa initiator (Sec. 3.1.2); their
+//     maximum is the approximate response, and for the exact analysis
+//     (Sec. 3.1.1) they are the admissible per-initiator bounds of a
+//     sequential sweep streamed one vector at a time from a
+//     mixed-radix cursor (Result.ScenariosPruned counts the skips);
 //  3. per-task response — the response times of all tasks in the
 //     round are independent and are computed on Options.Workers
 //     goroutines via batch.Map, with results collected in task index
@@ -314,7 +314,7 @@ func (e *Engine) analyzeDynamic(ctx context.Context, prev *Result, sys *model.Sy
 			}
 			e.jitChanged[i] = changed
 		}
-		e.roundCopyValid = !e.opt.DisableSweepReuse
+		e.roundCopyValid = !e.an.exhaustive
 	}
 	if iters == 0 {
 		return nil, fmt.Errorf("analysis: no iterations executed")
@@ -359,7 +359,7 @@ func (e *Engine) resetCounters() {
 // that is stale — or from a one-edit-apart system — costs one shape
 // check, never a wrong bound. prev is only read; the slabs get copies.
 func (e *Engine) installSweepSeeds(prev *Result) {
-	if prev == nil || !e.opt.Exact || e.opt.DisableSweepReuse {
+	if prev == nil || !e.opt.Exact || e.an.exhaustive {
 		return
 	}
 	if len(prev.sweepNu) != len(e.an.slabs) {
@@ -381,9 +381,10 @@ func (e *Engine) installSweepSeeds(prev *Result) {
 // harvestSweepSeeds deep-copies the slabs' recorded critical scenario
 // vectors into a Result-owned summary — the prune state a later
 // AnalyzeFrom re-seeds from. nil when the result cannot serve as a
-// seed anyway (approximate analysis, reuse or replay state disabled).
+// seed anyway (approximate analysis, exhaustive reference, replay
+// state disabled).
 func (e *Engine) harvestSweepSeeds() [][][]initiator {
-	if !e.opt.Exact || e.opt.DisableSweepReuse || e.opt.DisableReplayState {
+	if !e.opt.Exact || e.an.exhaustive || e.opt.DisableReplayState {
 		return nil
 	}
 	total := 0

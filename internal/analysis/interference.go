@@ -76,6 +76,13 @@ type analyzer struct {
 	sys *model.System
 	opt Options
 
+	// exhaustive selects the reference exact sweep the tests compare
+	// the production sweep against: every scenario vector is evaluated
+	// — no per-initiator prune bound, no incumbent seed — and the
+	// engine neither copies unchanged rounds nor records sweep seeds.
+	// Only test files set it (NewExhaustiveEngine).
+	exhaustive bool
+
 	// slabs is the per-transaction state, indexed like
 	// sys.Transactions.
 	slabs []txSlab
@@ -91,13 +98,6 @@ type analyzer struct {
 	sigBuf      []int
 	changedBuf  []int
 	changedMark []bool
-}
-
-func newAnalyzer(sys *model.System, opt Options) *analyzer {
-	an := &analyzer{}
-	an.bind(sys, opt)
-	an.refreshOffsets()
-	return an
 }
 
 // shapeSignatureTx appends the structural signature of transaction i

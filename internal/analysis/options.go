@@ -89,44 +89,6 @@ type Options struct {
 	// scenario sweep runs sequentially on the goroutine computing that
 	// task, so Workers bounds the analysis's goroutines outright.
 	Workers int
-
-	// DisableExactStreaming reverts the exact analysis to the
-	// historical sweep that materialises the full scenario list before
-	// evaluating it — O(count · axes) peak memory instead of the
-	// cursor's O(axes). Results are bit-identical either way; the
-	// materialised sweep is also strictly sequential (it is the
-	// reference implementation the streamed sweep is tested against).
-	// Like Workers, it never changes computed bounds and is excluded
-	// from replay keys and cache keys.
-	DisableExactStreaming bool
-
-	// DisableExactPruning turns off the admissible scenario prune of
-	// the exact sweep: the upper bound obtained by charging every
-	// other transaction W* (Eq. 15) instead of its scenario's exact
-	// W^k (Eq. 13), computed once per busy-period initiator of the
-	// transaction under analysis, normally skips every scenario whose
-	// bound cannot strictly beat the running best. The prune only ever
-	// discards scenarios that cannot change the outcome, so results
-	// are bit-identical with it on or off; Result.ScenariosPruned
-	// reports how many scenarios it skipped. Excluded from replay keys
-	// and cache keys.
-	DisableExactPruning bool
-
-	// DisableSweepReuse turns off the two cross-sweep reuse ladders of
-	// the branch-and-bound exact sweep: incumbent seeding (the critical
-	// scenario a sweep records is re-evaluated under the next sweep's
-	// inputs — next holistic round, or next analysis via
-	// Engine.AnalyzeFrom — and pruned against strictly, so near-repeat
-	// probes skip almost the whole scenario space) and the
-	// unchanged-inputs round fast path (a task whose own and
-	// interfering transactions all kept bitwise-identical jitters since
-	// the previous round reuses that round's TaskResult outright —
-	// recomputation is a pure function of those inputs). Both reuse
-	// mechanisms only ever skip work whose outcome is already
-	// determined, so results are bit-identical with the toggle on or
-	// off; it exists for the metamorphic seeded-vs-cold tests and for
-	// A/B benchmarking. Excluded from replay keys and cache keys.
-	DisableSweepReuse bool
 }
 
 // Normalised returns the options with every defaulted numeric field
@@ -153,9 +115,7 @@ func (o Options) Normalised() Options {
 // equal keys follow identical trajectories on identical systems —
 // the precondition for AnalyzeFrom replaying one run's recorded
 // rounds inside another. Fields that never change results (Workers,
-// Recorder, DisableReplayState and the exact-sweep toggles
-// DisableExactStreaming / DisableExactPruning) are deliberately
-// absent. This is the
+// Recorder, DisableReplayState) are deliberately absent. This is the
 // single enumeration of semantics-affecting options: the analysis
 // service's memo keys embed it too, so a future Options field added
 // here is automatically respected by both the replay gate and the
@@ -271,21 +231,20 @@ type Result struct {
 	// ScenariosPruned counts the exact scenario vectors the admissible
 	// prune skipped across every task and round of this analysis — the
 	// work the branch-and-bound discipline saved. Always 0 for the
-	// approximate analysis and under Options.DisableExactPruning. Like
-	// Delta it is a work profile, not part of the analysis outcome.
-	// From a fresh engine it is a deterministic function of the system
-	// and the options, whatever Workers is. It does depend on the
-	// replay depth on the delta path (replayed tasks sweep nothing, so
-	// they contribute no prunes) and on the engine-resident sweep seeds
-	// of earlier analyses — the bounds and verdict are bit-identical
-	// regardless.
+	// approximate analysis. Like Delta it is a work profile, not part
+	// of the analysis outcome. From a fresh engine it is a
+	// deterministic function of the system and the options, whatever
+	// Workers is. It does depend on the replay depth on the delta path
+	// (replayed tasks sweep nothing, so they contribute no prunes) and
+	// on the engine-resident sweep seeds of earlier analyses — the
+	// bounds and verdict are bit-identical regardless.
 	ScenariosPruned int64
 
 	// SubtreesPruned counts the whole-subtree cursor jumps among the
 	// pruned scenarios: each is one branch-and-bound decision that
 	// skipped a contiguous run of scenario vectors (the subtree sharing
-	// a refuted initiator of the transaction under analysis) with a
-	// single seek instead of stepping through them. The ratio
+	// a refuted initiator of the transaction under analysis) in one
+	// step instead of stepping through them. The ratio
 	// ScenariosPruned/SubtreesPruned is the average subtree size the
 	// bounds refuted. A work profile like ScenariosPruned, with the
 	// same caveats.
@@ -305,8 +264,8 @@ type Result struct {
 	// engine's slabs, where each sweep re-evaluates its entry under
 	// the new inputs as the incumbent seed — or discards it when the
 	// dirty closure moved the task's interference shape. Recorded only
-	// for exact analyses with reuse and replay state enabled; stripped
-	// with the history.
+	// for exact analyses with replay state enabled; stripped with the
+	// history.
 	sweepNu [][][]initiator
 
 	// rkey identifies the analysis semantics the result was computed

@@ -23,46 +23,34 @@ type initiator struct{ tr, k int }
 //     initiator per transaction with interfering tasks (Eq. 12).
 //
 // Scenarios are plain data (no captured closures): the interference
-// they induce is evaluated by analyzer.interference, which keeps the
-// per-scenario footprint to a few words and lets the engine pool the
-// backing slices across calls.
+// they induce is evaluated by analyzer.interference.
 type scenario struct {
 	c  int
 	nu []initiator
 }
 
-// taskScratch holds the per-task-analysis buffers (scenario sets,
-// candidate lists, mixed-radix cursor state, prune bounds). The engine
-// keeps a pool of them so that concurrent per-task response
-// computations reuse allocations instead of growing fresh slices on
-// every call.
+// taskScratch holds the per-task-analysis buffers (candidate lists,
+// mixed-radix cursor state, per-initiator bounds). The engine keeps a
+// pool of them so that concurrent per-task response computations reuse
+// allocations instead of growing fresh slices on every call.
 type taskScratch struct {
-	scenarios []scenario
-	cands     []int
-	axes      []axis
-	pick      []int
+	cands []int
+	axes  []axis
+	pick  []int
 	// nu is the cursor's scenario vector: one initiator per axis,
-	// rewritten in place as the cursor advances — O(axes), not the
-	// O(count·axes) backing the materialised sweep used to pin here.
+	// rewritten in place as the cursor advances.
 	nu     []initiator
 	bounds []float64
 }
 
 // shrink drops scratch buffers that grew past a high-water cap, so a
 // single huge analysis does not pin its peak memory for the lifetime
-// of a reused engine. Called between analyses, never inside one. The
-// scenario list only grows on the approximate path and the
-// materialised (Options.DisableExactStreaming) exact sweep — the
-// streamed sweep never touches it, and its ν backing is allocated
-// fresh and left to the GC, so the old ν high-water check is gone. The
-// remaining buffers are bounded by axis and candidate counts, small by
+// of a reused engine. Called between analyses, never inside one. Every
+// buffer is bounded by axis, candidate or task counts — O(axes) for
+// the cursor however many scenarios it walks — so they are small by
 // construction, but an outlier system with thousands of transactions
 // or tasks per transaction would still pin them across reuse.
 func (ts *taskScratch) shrink() {
-	const maxRetain = 1 << 16
-	if cap(ts.scenarios) > maxRetain {
-		ts.scenarios = nil
-	}
 	const maxSmallRetain = 1 << 10
 	if cap(ts.cands) > maxSmallRetain {
 		ts.cands = nil
@@ -135,10 +123,8 @@ func (an *analyzer) responseTime(ctx context.Context, a, b int, ts *taskScratch)
 	}
 
 	if !an.opt.Exact {
-		r, crit, _, ok, err := an.sweepList(ctx, a, b, an.approxScenarios(a, b, hp, ts), hp, alpha, nil)
-		if err != nil {
-			return 0, unboundedCritical, sweepStats{}, err
-		}
+		ts.cands = append(append(ts.cands[:0], hp[a]...), b)
+		_, r, crit, ok := an.initiatorSweep(a, b, ts.cands, hp, alpha, ts)
 		if !ok {
 			return math.Inf(1), unboundedCritical, sweepStats{}, nil
 		}
@@ -149,15 +135,15 @@ func (an *analyzer) responseTime(ctx context.Context, a, b int, ts *taskScratch)
 
 // exactSweep runs the exact scenario enumeration of Section 3.1.1 as
 // one sequential, streamed, branch-and-bound sweep over the mixed-radix
-// scenario space — the same scenarios, in the same deterministic order,
-// as the historical materialised sweep, with bit-identical results for
-// every toggle. Two pieces of state make it a tree search instead of a
-// per-scenario filter: the per-initiator bound of the transaction under
-// analysis lets the cursor skip the whole subtree sharing a refuted
-// initiator in one step (see sweepCursor), and the critical scenario
-// of the previous sweep of the same task — last round, or last analysis
-// via Engine.AnalyzeFrom — is re-evaluated under the current inputs to
-// seed the incumbent the bounds are pruned against.
+// scenario space. Two pieces of state make it a tree search instead of
+// a per-scenario filter: the per-initiator bound of the transaction
+// under analysis lets the cursor skip the whole subtree sharing a
+// refuted initiator in one step (see sweepCursor), and the critical
+// scenario of the previous sweep of the same task — last round, or last
+// analysis via Engine.AnalyzeFrom — is re-evaluated under the current
+// inputs to seed the incumbent the bounds are pruned against. The
+// exhaustive reference (analyzer.exhaustive) evaluates every scenario
+// vector instead, with neither.
 func (an *analyzer) exactSweep(ctx context.Context, a, b int, hp [][]int, alpha float64, ts *taskScratch) (float64, critical, sweepStats, error) {
 	var st sweepStats
 	axes, aAxis, count, err := an.buildAxes(a, b, hp, ts)
@@ -171,46 +157,28 @@ func (an *analyzer) exactSweep(ctx context.Context, a, b int, hp [][]int, alpha 
 	// as much work as the sweep itself with nothing to amortise it, so
 	// pruning only arms when other axes multiply the space.
 	var bounds []float64
-	if !an.opt.DisableExactPruning && count > len(axes[aAxis].cands) {
-		bounds = an.pruneBounds(a, b, hp, alpha, axes[aAxis].cands, ts)
-	}
-
-	if an.opt.DisableExactStreaming {
-		// Reference path: materialise every scenario vector first, then
-		// evaluate the list sequentially — the seed sweep the streamed
-		// cursor is tested against. No subtree bounds, no incumbent
-		// seeding: this is the historical per-scenario prune, verbatim.
-		r, crit, pruned, ok, err := an.sweepList(ctx, a, b, an.materialiseScenarios(axes, aAxis, count, ts), hp, alpha, bounds)
-		st.pruned = pruned
-		if err != nil {
-			return 0, unboundedCritical, st, err
-		}
-		if !ok {
-			return math.Inf(1), unboundedCritical, st, nil
-		}
-		return r, crit, st, nil
-	}
-
-	// Incumbent seeding: re-evaluate the critical scenario recorded by
-	// the previous sweep of this task under the CURRENT offsets and
-	// jitters. Whatever inputs that scenario was recorded under, it is
-	// a member of the current scenario space once its shape validates,
-	// so its response is ≤ the true maximum — an admissible prune floor
-	// that never enters the result. Pruning against it is strict
-	// (bound < floor): a scenario tying the floor may be the first
-	// maximum and must still be evaluated. A seed whose axes no longer
-	// match (the dirty closure moved the task's interference shape) is
-	// discarded, never trusted. The floor's guaranteed price — one
-	// extra fixed point per sweep — is only ever paid when a seed
-	// exists, i.e. from the second round of a converging task or across
-	// AnalyzeFrom probes, exactly the regimes where the previous
-	// critical scenario is close to (usually is) the current maximum
-	// and the floor prunes most of the space; a gate on sweep size was
-	// tried and measurably hurt the probe-chain workloads, whose sweeps
-	// are small but whose seeds are near-perfect.
-	reuse := !an.opt.DisableSweepReuse
 	floor := 0.0
-	if bounds != nil && reuse {
+	if !an.exhaustive && count > len(axes[aAxis].cands) {
+		bounds, _, _, _ = an.initiatorSweep(a, b, axes[aAxis].cands, hp, alpha, ts)
+
+		// Incumbent seeding: re-evaluate the critical scenario recorded
+		// by the previous sweep of this task under the CURRENT offsets
+		// and jitters. Whatever inputs that scenario was recorded under,
+		// it is a member of the current scenario space once its shape
+		// validates, so its response is ≤ the true maximum — an
+		// admissible prune floor that never enters the result. Pruning
+		// against it is strict (bound < floor): a scenario tying the
+		// floor may be the first maximum and must still be evaluated. A
+		// seed whose axes no longer match (the dirty closure moved the
+		// task's interference shape) is discarded, never trusted. The
+		// floor's guaranteed price — one extra fixed point per sweep — is
+		// only ever paid when a seed exists, i.e. from the second round
+		// of a converging task or across AnalyzeFrom probes, exactly the
+		// regimes where the previous critical scenario is close to
+		// (usually is) the current maximum and the floor prunes most of
+		// the space; a gate on sweep size was tried and measurably hurt
+		// the probe-chain workloads, whose sweeps are small but whose
+		// seeds are near-perfect.
 		if seed := an.slabs[a].seedNu[b]; len(seed) > 0 {
 			if !seedValidFor(axes, seed) {
 				st.discarded = true
@@ -230,7 +198,7 @@ func (an *analyzer) exactSweep(ctx context.Context, a, b int, hp [][]int, alpha 
 		}
 	}
 
-	res, err := an.sweepCursor(ctx, a, b, axes, aAxis, count, hp, alpha, bounds, floor, reuse, ts.pick[:len(axes)], ts.nu[:len(axes)])
+	res, err := an.sweepCursor(ctx, a, b, axes, aAxis, count, hp, alpha, bounds, floor, ts.pick[:len(axes)], ts.nu[:len(axes)])
 	if err != nil {
 		return 0, unboundedCritical, st, err
 	}
@@ -246,11 +214,11 @@ func (an *analyzer) exactSweep(ctx context.Context, a, b int, hp [][]int, alpha 
 // into the transaction's slab, where the next sweep of the same task —
 // next holistic round, or next analysis through Engine.AnalyzeFrom —
 // picks it up as its incumbent seed. Concurrent per-task computations
-// write disjoint slots. An empty vector (nothing beat zero, or seeding
-// disabled) leaves the previous seed in place: it stays shape-valid
-// and re-evaluation keeps it sound.
+// write disjoint slots. An empty vector (nothing beat zero) leaves the
+// previous seed in place: it stays shape-valid and re-evaluation keeps
+// it sound. The exhaustive reference records nothing.
 func (an *analyzer) storeSeed(a, b int, critNu []initiator) {
-	if an.opt.DisableSweepReuse || len(critNu) == 0 {
+	if an.exhaustive || len(critNu) == 0 {
 		return
 	}
 	sl := &an.slabs[a]
@@ -313,10 +281,9 @@ type sweepResult struct {
 // (bound < floor) — a tying scenario may be the first maximum — and it
 // never enters res.best, whereas the running best may prune ties
 // (bound <= best): a tie with an earlier scenario never updates best
-// under the strict r > best rule. trackNu records the running best's
-// full scenario vector into res.critNu for the next sweep's seed; the
-// caller gates it on the reuse toggle.
-func (an *analyzer) sweepCursor(ctx context.Context, a, b int, axes []axis, aAxis, count int, hp [][]int, alpha float64, bounds []float64, floor float64, trackNu bool, pick []int, nu []initiator) (sweepResult, error) {
+// under the strict r > best rule. The running best's full scenario
+// vector is recorded into res.critNu for the next sweep's seed.
+func (an *analyzer) sweepCursor(ctx context.Context, a, b int, axes []axis, aAxis, count int, hp [][]int, alpha float64, bounds []float64, floor float64, pick []int, nu []initiator) (sweepResult, error) {
 	cursorReset(axes, pick, nu)
 	res := sweepResult{crit: critical{initiator: b}, finite: true}
 	span := 1
@@ -359,45 +326,12 @@ func (an *analyzer) sweepCursor(ctx context.Context, a, b int, axes []axis, aAxi
 		if r > res.best {
 			res.best = r
 			res.crit = critical{initiator: sc.c, job: p}
-			if trackNu {
-				res.critNu = append(res.critNu[:0], nu...)
-			}
+			res.critNu = append(res.critNu[:0], nu...)
 		}
 		cursorNext(axes, pick, nu)
 		idx++
 	}
 	return res, nil
-}
-
-// sweepList evaluates an explicit scenario list in order — the
-// approximate path's reduced set, or the materialised exact sweep.
-// bounds enables the same admissible prune as sweepCursor (nil for the
-// approximate path, whose scenarios ARE the bounds). ok is false when
-// a scenario's busy period diverged (the caller reports +Inf).
-func (an *analyzer) sweepList(ctx context.Context, a, b int, scenarios []scenario, hp [][]int, alpha float64, bounds []float64) (float64, critical, int64, bool, error) {
-	best := 0.0
-	crit := critical{initiator: b}
-	pruned := int64(0)
-	for si, sc := range scenarios {
-		if si%cancelCheckInterval == 0 && ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return 0, unboundedCritical, 0, false, wrapCancelled(err)
-			}
-		}
-		if bounds != nil && bounds[sc.c] <= best {
-			pruned++
-			continue
-		}
-		r, p, ok := an.scenarioResponse(a, b, sc, hp, alpha)
-		if !ok {
-			return 0, unboundedCritical, pruned, false, nil
-		}
-		if r > best {
-			best = r
-			crit = critical{initiator: sc.c, job: p}
-		}
-	}
-	return best, crit, pruned, true, nil
 }
 
 // overloaded reports whether the long-run demand of τa,b plus its
@@ -446,21 +380,6 @@ func (an *analyzer) interference(a int, sc scenario, hp [][]int, alpha, t float6
 	return sum
 }
 
-// approxScenarios builds the reduced scenario set of Section 3.1.2:
-// one scenario per c ∈ hp_a(τa,b) ∪ {τa,b}, charging every other
-// transaction its upper bound W* (Eq. 15) and Γa its exact
-// contribution W^c_a (Eq. 16).
-func (an *analyzer) approxScenarios(a, b int, hp [][]int, ts *taskScratch) []scenario {
-	cands := append(append(ts.cands[:0], hp[a]...), b)
-	ts.cands = cands
-	scenarios := ts.scenarios[:0]
-	for _, c := range cands {
-		scenarios = append(scenarios, scenario{c: c})
-	}
-	ts.scenarios = scenarios
-	return scenarios
-}
-
 // buildAxes derives the axes of the exact scenario product of Section
 // 3.1.1 — per transaction with interfering tasks, its candidate
 // critical-instant set (Eq. 12), with the task under analysis added to
@@ -501,39 +420,53 @@ func (an *analyzer) buildAxes(a, b int, hp [][]int, ts *taskScratch) (axes []axi
 	return axes, aAxis, count, nil
 }
 
-// pruneBounds computes, for every candidate initiator c of the
-// transaction under analysis, an upper bound on the response of every
-// exact scenario with ν_a = c: the fixed point of the approximate
-// scenario that charges Γa its exact contribution W^c_a and every
-// other transaction the pointwise maximum W* (Eq. 15). W* dominates
-// every per-initiator W^k termwise, the busy-period and completion
-// fixed points are monotone in the interference, and the dominated job
-// range is a subset — so the bound is admissible, and a scenario whose
-// bound cannot strictly beat the running best can be skipped without
-// changing any result bit. A bound whose own fixed point diverges is
-// +Inf, which never prunes. The returned slice is indexed by initiator
-// task id; entries for non-candidates are stale and must not be read.
-func (an *analyzer) pruneBounds(a, b int, hp [][]int, alpha float64, cands []int, ts *taskScratch) []float64 {
+// initiatorSweep evaluates, for every candidate initiator c of the
+// transaction under analysis (hp_a(τa,b) ∪ {τa,b}), the approximate
+// scenario of Section 3.1.2 that charges Γa its exact contribution
+// W^c_a (Eq. 16) and every other transaction the pointwise maximum W*
+// (Eq. 15). The one loop serves both analyses:
+//
+//   - the approximate analysis is the maximum over these scenarios:
+//     best, attained first (strictly) by crit;
+//   - the exact sweep reads bounds[c], an upper bound on the response
+//     of every exact scenario with ν_a = c. W* dominates every
+//     per-initiator W^k termwise, the busy-period and completion fixed
+//     points are monotone in the interference, and the dominated job
+//     range is a subset — so the bound is admissible, and a scenario
+//     whose bound cannot strictly beat the running best can be skipped
+//     without changing any result bit.
+//
+// A scenario whose fixed point diverges gets bound +Inf, which never
+// prunes, and clears ok (the approximate response is then unbounded).
+// bounds is indexed by initiator task id; entries for non-candidates
+// are stale and must not be read.
+func (an *analyzer) initiatorSweep(a, b int, cands []int, hp [][]int, alpha float64, ts *taskScratch) (bounds []float64, best float64, crit critical, ok bool) {
 	nTasks := len(an.sys.Transactions[a].Tasks)
 	if cap(ts.bounds) < nTasks {
 		ts.bounds = make([]float64, nTasks)
 	}
-	bounds := ts.bounds[:nTasks]
+	bounds = ts.bounds[:nTasks]
+	crit = critical{initiator: b}
+	ok = true
 	for _, c := range cands {
-		r, _, ok := an.scenarioResponse(a, b, scenario{c: c}, hp, alpha)
-		if !ok {
-			r = math.Inf(1)
+		r, p, conv := an.scenarioResponse(a, b, scenario{c: c}, hp, alpha)
+		if !conv {
+			bounds[c] = math.Inf(1)
+			ok = false
+			continue
 		}
 		bounds[c] = r
+		if r > best {
+			best = r
+			crit = critical{initiator: c, job: p}
+		}
 	}
-	ts.bounds = bounds
-	return bounds
+	return bounds, best, crit, ok
 }
 
 // cursorReset positions the mixed-radix scenario cursor on the first
 // scenario: pick[i] is the candidate index of axis i — axis 0 is the
-// fastest-varying digit, exactly the enumeration order of the
-// materialised sweep — and nu mirrors it as the (transaction,
+// fastest-varying digit — and nu mirrors it as the (transaction,
 // initiator) pairs the interference sum consumes, in axis order.
 func cursorReset(axes []axis, pick []int, nu []initiator) {
 	for i := range axes {
@@ -554,27 +487,6 @@ func cursorNext(axes []axis, pick []int, nu []initiator) {
 		pick[i] = 0
 		nu[i] = initiator{tr: axes[i].tr, k: axes[i].cands[0]}
 	}
-}
-
-// materialiseScenarios expands the axes into the full scenario list by
-// walking the cursor once — the reference (seed) form of the exact
-// sweep, kept behind Options.DisableExactStreaming for the bit-identity
-// tests. The ν backing is allocated fresh and handed to the GC with
-// the list; only the list header is pooled.
-func (an *analyzer) materialiseScenarios(axes []axis, aAxis, count int, ts *taskScratch) []scenario {
-	pick := ts.pick[:len(axes)]
-	nu := ts.nu[:len(axes)]
-	cursorReset(axes, pick, nu)
-	nuBuf := make([]initiator, 0, count*len(axes))
-	scenarios := ts.scenarios[:0]
-	for idx := 0; idx < count; idx++ {
-		start := len(nuBuf)
-		nuBuf = append(nuBuf, nu...)
-		scenarios = append(scenarios, scenario{c: nu[aAxis].k, nu: nuBuf[start:len(nuBuf):len(nuBuf)]})
-		cursorNext(axes, pick, nu)
-	}
-	ts.scenarios = scenarios
-	return scenarios
 }
 
 // scenarioResponse evaluates one scenario: busy-period length (the

@@ -12,19 +12,20 @@ import (
 	"hsched/internal/platform"
 )
 
-// seedSweepOptions returns the reference configuration of the exact
-// analysis: the historical materialise-then-evaluate sweep with every
-// acceleration (streaming, pruning) disabled and a strictly
-// sequential engine. Every accelerated configuration must reproduce
-// its results bit for bit.
-func seedSweepOptions() analysis.Options {
-	return analysis.Options{
-		Exact:                 true,
-		Workers:               1,
-		MaxIterations:         40,
-		DisableExactStreaming: true,
-		DisableExactPruning:   true,
+// sweepOptions is the exact analysis the sweep suites run: a strictly
+// sequential engine, iteration-capped so unschedulable draws stay
+// cheap.
+func sweepOptions() analysis.Options {
+	return analysis.Options{Exact: true, Workers: 1, MaxIterations: 40}
+}
+
+// sweepEngine returns the production engine, or the exhaustive
+// reference when exhaustive is set.
+func sweepEngine(opt analysis.Options, exhaustive bool) *analysis.Engine {
+	if exhaustive {
+		return analysis.NewExhaustiveEngine(opt)
 	}
+	return analysis.NewEngine(opt)
 }
 
 // sweepSystems draws the bit-identity population: single-platform
@@ -92,50 +93,29 @@ func exactHeavySystem(transactions, chainLen int) *model.System {
 }
 
 // TestExactSweepBitIdentity is the exact sweep's metamorphic contract:
-// the streamed cursor and the admissible prune — in every on/off
-// combination and for every worker count — must reproduce the seed
-// sweep's results bit for bit: all task bounds, critical scenarios,
-// iteration counts and verdicts.
+// the production sweep (streamed, pruned, seeded) and the exhaustive
+// reference, for every worker count, must reproduce the sequential
+// exhaustive sweep's results bit for bit: all task bounds, critical
+// scenarios, iteration counts and verdicts.
 func TestExactSweepBitIdentity(t *testing.T) {
-	type toggles struct {
-		name             string
-		streamed, pruned bool
-	}
-	onOff := func(on bool, tag string) string {
-		if on {
-			return tag
-		}
-		return "no" + tag
-	}
-	var combos []toggles
-	for s := 0; s < 2; s++ {
-		for p := 0; p < 2; p++ {
-			c := toggles{streamed: s == 1, pruned: p == 1}
-			c.name = onOff(c.streamed, "stream") + "/" + onOff(c.pruned, "prune")
-			combos = append(combos, c)
-		}
-	}
-
 	for si, sys := range sweepSystems(t) {
-		seed, err := analysis.NewEngine(seedSweepOptions()).Analyze(sys)
+		ref, err := analysis.NewExhaustiveEngine(sweepOptions()).Analyze(sys)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, c := range combos {
+		for _, exhaustive := range []bool{false, true} {
 			for _, workers := range []int{1, 4, 8} {
-				opt := seedSweepOptions()
+				opt := sweepOptions()
 				opt.Workers = workers
-				opt.DisableExactStreaming = !c.streamed
-				opt.DisableExactPruning = !c.pruned
-				got, err := analysis.NewEngine(opt).Analyze(sys)
+				got, err := sweepEngine(opt, exhaustive).Analyze(sys)
 				if err != nil {
-					t.Fatalf("system %d %s workers=%d: %v", si, c.name, workers, err)
+					t.Fatalf("system %d exhaustive=%v workers=%d: %v", si, exhaustive, workers, err)
 				}
-				if !resultsIdentical(seed, got) {
-					t.Fatalf("system %d %s workers=%d: diverged from the seed sweep", si, c.name, workers)
+				if !resultsIdentical(ref, got) {
+					t.Fatalf("system %d exhaustive=%v workers=%d: diverged from the exhaustive sweep", si, exhaustive, workers)
 				}
-				if !c.pruned && got.ScenariosPruned != 0 {
-					t.Fatalf("system %d %s: pruning disabled but ScenariosPruned=%d", si, c.name, got.ScenariosPruned)
+				if exhaustive && got.ScenariosPruned != 0 {
+					t.Fatalf("system %d: exhaustive sweep pruned %d scenarios", si, got.ScenariosPruned)
 				}
 			}
 		}
@@ -145,37 +125,36 @@ func TestExactSweepBitIdentity(t *testing.T) {
 // TestExactSweepBitIdentityHeavy covers the regime the small random
 // systems cannot reach: sweeps of thousands of scenario vectors, where
 // the whole-subtree seeks dominate the walk, run next to each other on
-// several workers. Results must match the seed sweep, and the work
-// profile of a fresh engine must not depend on the worker count. One
+// several workers. Results must match the exhaustive sweep, and the
+// work profile of a fresh engine must not depend on the worker count. One
 // static pass (the sweep itself, no holistic iteration on top) keeps
 // the -race run short.
 func TestExactSweepBitIdentityHeavy(t *testing.T) {
 	// Costliest tasks face 6^5 = 7776 scenario vectors.
 	sys := exactHeavySystem(5, 6)
-	seedEng := analysis.NewEngine(seedSweepOptions())
-	seed, err := seedEng.AnalyzeStatic(sys)
+	ref, err := analysis.NewExhaustiveEngine(sweepOptions()).AnalyzeStatic(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pruned := range []bool{false, true} {
+	for _, exhaustive := range []bool{false, true} {
 		var first *analysis.Result
 		for _, workers := range []int{1, 4, 8} {
-			opt := analysis.Options{
-				Exact: true, Workers: workers,
-				DisableExactPruning: !pruned,
-			}
-			got, err := analysis.NewEngine(opt).AnalyzeStatic(sys)
+			opt := analysis.Options{Exact: true, Workers: workers}
+			got, err := sweepEngine(opt, exhaustive).AnalyzeStatic(sys)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !resultsIdentical(seed, got) {
-				t.Fatalf("pruned=%v workers=%d: heavy sweep diverged from the seed sweep", pruned, workers)
+			if !resultsIdentical(ref, got) {
+				t.Fatalf("exhaustive=%v workers=%d: heavy sweep diverged from the exhaustive sweep", exhaustive, workers)
+			}
+			if exhaustive && (got.ScenariosPruned != 0 || got.SubtreesPruned != 0) {
+				t.Fatalf("workers=%d: exhaustive sweep pruned %d scenarios in %d subtrees", workers, got.ScenariosPruned, got.SubtreesPruned)
 			}
 			if first == nil {
 				first = got
 			} else if got.ScenariosPruned != first.ScenariosPruned || got.SubtreesPruned != first.SubtreesPruned {
-				t.Fatalf("pruned=%v workers=%d: work profile %d/%d scenarios/subtrees pruned, want %d/%d as at 1 worker",
-					pruned, workers, got.ScenariosPruned, got.SubtreesPruned, first.ScenariosPruned, first.SubtreesPruned)
+				t.Fatalf("exhaustive=%v workers=%d: work profile %d/%d scenarios/subtrees pruned, want %d/%d as at 1 worker",
+					exhaustive, workers, got.ScenariosPruned, got.SubtreesPruned, first.ScenariosPruned, first.SubtreesPruned)
 			}
 		}
 	}
@@ -198,18 +177,18 @@ func TestExactSweepPrunesPaperExample(t *testing.T) {
 	if r := res.TransactionResponse(0); math.Abs(r-31) > 1e-6 {
 		t.Fatalf("R(Γ1) = %v under the pruned sweep, want 31", r)
 	}
-	base, err := analysis.NewEngine(seedSweepOptions()).Analyze(sys)
+	base, err := analysis.NewExhaustiveEngine(sweepOptions()).Analyze(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !resultsIdentical(base, res) {
-		t.Fatal("pruned sweep diverged from the seed sweep on the paper example")
+		t.Fatal("pruned sweep diverged from the exhaustive sweep on the paper example")
 	}
 }
 
 // TestExactSweepPrunedCountStable locks the sequential prune count:
-// with one worker the sweep order is the seed order, so the number of
-// pruned scenarios is a deterministic function of the system.
+// with one worker the sweep order is fixed, so the number of pruned
+// scenarios is a deterministic function of the system.
 func TestExactSweepPrunedCountStable(t *testing.T) {
 	sys := exactHeavySystem(4, 4)
 	first, err := analysis.NewEngine(analysis.Options{Exact: true, Workers: 1}).Analyze(sys)
@@ -258,20 +237,20 @@ func TestScenarioCountSaturates(t *testing.T) {
 }
 
 // BenchmarkExactSweep measures the exact sweep on the heavy workload
-// (≥ 10^5 scenario vectors on the costliest tasks): the seed sweep and
-// the streamed, pruned sweep on one reused engine, whose resident
-// sweep seeds carry over between iterations, and the same sweep from a
-// fresh engine per iteration at 1 and 2 workers, which pays every
-// bound and seed from scratch as a first query does. One static pass
-// isolates the sweep itself from holistic iteration effects.
+// (≥ 10^5 scenario vectors on the costliest tasks): the exhaustive
+// reference ("seed", every vector evaluated) and the production sweep
+// on one reused engine, whose resident sweep seeds carry over between
+// iterations, and the production sweep from a fresh engine per
+// iteration at 1 and 2 workers, which pays every bound and seed from
+// scratch as a first query does. One static pass isolates the sweep
+// itself from holistic iteration effects.
 func BenchmarkExactSweep(b *testing.B) {
 	sys := exactHeavySystem(6, 7) // lowest-priority tasks: 7^6 = 117 649 scenarios
 	if ex, _ := analysis.ScenarioCount(sys, 5, 6); ex < 100_000 {
 		b.Fatalf("heavy workload too light: %d scenarios on the costliest task", ex)
 	}
-	run := func(b *testing.B, opt analysis.Options) {
+	run := func(b *testing.B, eng *analysis.Engine) {
 		b.Helper()
-		eng := analysis.NewEngine(opt)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := eng.AnalyzeStatic(sys); err != nil {
@@ -280,11 +259,10 @@ func BenchmarkExactSweep(b *testing.B) {
 		}
 	}
 	b.Run("seed", func(b *testing.B) {
-		opt := seedSweepOptions()
-		run(b, opt)
+		run(b, analysis.NewExhaustiveEngine(sweepOptions()))
 	})
 	b.Run("streamed-pruned-1w", func(b *testing.B) {
-		run(b, analysis.Options{Exact: true, Workers: 1})
+		run(b, analysis.NewEngine(analysis.Options{Exact: true, Workers: 1}))
 	})
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("cold-%dw", workers), func(b *testing.B) {

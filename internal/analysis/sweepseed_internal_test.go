@@ -80,9 +80,7 @@ func TestSweepSeedReusedOnRetuning(t *testing.T) {
 		t.Fatalf("WCET retuning discarded %d seeds; the shapes did not change", n)
 	}
 
-	cold := opt
-	cold.DisableSweepReuse = true
-	want, err := NewEngine(cold).Analyze(mut)
+	want, err := NewExhaustiveEngine(opt).Analyze(mut)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,9 +118,7 @@ func TestSweepSeedDiscardedOnShapeChange(t *testing.T) {
 		t.Fatalf("priority reshape discarded %d stale seeds, want > 0", n)
 	}
 
-	cold := opt
-	cold.DisableSweepReuse = true
-	want, err := NewEngine(cold).Analyze(mut)
+	want, err := NewExhaustiveEngine(opt).Analyze(mut)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,15 +140,17 @@ func TestRoundCopyFastPath(t *testing.T) {
 	if n := eng.roundCopied.Load(); n <= 0 {
 		t.Fatalf("converging iteration copied %d rounds, want > 0", n)
 	}
-	cold := opt
-	cold.DisableSweepReuse = true
-	coldEng := NewEngine(cold)
+	coldEng := NewEngine(opt)
+	coldEng.an.exhaustive = true
 	want, err := coldEng.Analyze(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := coldEng.roundCopied.Load(); n != 0 {
-		t.Fatalf("DisableSweepReuse engine copied %d rounds, want 0", n)
+		t.Fatalf("exhaustive engine copied %d rounds, want 0", n)
+	}
+	if want.ScenariosPruned != 0 {
+		t.Fatalf("exhaustive engine pruned %d scenarios, want 0", want.ScenariosPruned)
 	}
 	sameBits(t, want, got)
 }

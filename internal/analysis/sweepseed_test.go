@@ -40,8 +40,8 @@ func seedMutationChain(sys *model.System) []*model.System {
 // walking a mutation chain through one engine via AnalyzeFrom — each
 // exact sweep seeded by the previous probe's critical scenarios and
 // each round eligible for the unchanged-inputs copy — must reproduce,
-// bit for bit, the chain walked cold with the reuse disabled, for
-// every sweep-toggle combination and worker count.
+// bit for bit, the chain walked cold by the exhaustive reference, for
+// the production and the exhaustive engine and every worker count.
 func TestSweepSeedBitIdentity(t *testing.T) {
 	gensys, err := gen.System(gen.Config{
 		Seed: 9300, Platforms: 1, Transactions: 3, ChainLen: 4,
@@ -55,39 +55,34 @@ func TestSweepSeedBitIdentity(t *testing.T) {
 
 	for si, sys := range systems {
 		chain := seedMutationChain(sys)
-		for s := 0; s < 2; s++ {
-			for p := 0; p < 2; p++ {
-				for _, workers := range []int{1, 4, 8} {
-					opt := analysis.Options{
-						Exact: true, Workers: workers, MaxIterations: 40,
-						DisableExactStreaming: s == 0,
-						DisableExactPruning:   p == 0,
+		for _, exhaustive := range []bool{false, true} {
+			for _, workers := range []int{1, 4, 8} {
+				opt := analysis.Options{Exact: true, Workers: workers, MaxIterations: 40}
+				eng := sweepEngine(opt, exhaustive)
+				var prev *analysis.Result
+				for ci, cs := range chain {
+					want, err := analysis.NewExhaustiveEngine(opt).Analyze(cs)
+					if err != nil {
+						t.Fatal(err)
 					}
-					cold := opt
-					cold.DisableSweepReuse = true
-
-					eng := analysis.NewEngine(opt)
-					var prev *analysis.Result
-					for ci, cs := range chain {
-						want, err := analysis.NewEngine(cold).Analyze(cs)
-						if err != nil {
-							t.Fatal(err)
-						}
-						var got *analysis.Result
-						if prev == nil {
-							got, err = eng.Analyze(cs)
-						} else {
-							got, err = eng.AnalyzeFrom(prev, cs)
-						}
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !resultsIdentical(want, got) {
-							t.Fatalf("system %d chain %d s=%d p=%d workers=%d: seeded sweep diverged from cold",
-								si, ci, s, p, workers)
-						}
-						prev = got
+					var got *analysis.Result
+					if prev == nil {
+						got, err = eng.Analyze(cs)
+					} else {
+						got, err = eng.AnalyzeFrom(prev, cs)
 					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !resultsIdentical(want, got) {
+						t.Fatalf("system %d chain %d exhaustive=%v workers=%d: seeded sweep diverged from cold",
+							si, ci, exhaustive, workers)
+					}
+					if exhaustive && got.ScenariosPruned != 0 {
+						t.Fatalf("system %d chain %d workers=%d: exhaustive engine pruned %d scenarios",
+							si, ci, workers, got.ScenariosPruned)
+					}
+					prev = got
 				}
 			}
 		}

@@ -74,15 +74,26 @@ func (t *TransactionSpec) ToTransaction(platforms int) (model.Transaction, error
 		tr.Tasks = append(tr.Tasks, model.Task{
 			Name:     k.Name,
 			WCET:     k.WCET,
-			BCET:     k.BCET,
-			Offset:   k.Offset,
-			Jitter:   k.Jitter,
+			BCET:     posZero(k.BCET),
+			Offset:   posZero(k.Offset),
+			Jitter:   posZero(k.Jitter),
 			Priority: k.Priority,
 			Platform: k.Platform - 1,
-			Blocking: k.Blocking,
+			Blocking: posZero(k.Blocking),
 		})
 	}
 	return tr, nil
+}
+
+// posZero maps -0 to +0. The optional task fields are omitted from a
+// marshalled document when zero, so a -0 read from JSON would come
+// back as +0 — a different fingerprint for the same system. Reading
+// it as +0 up front keeps Marshal → Parse fingerprint-stable.
+func posZero(x float64) float64 {
+	if x == 0 {
+		return 0
+	}
+	return x
 }
 
 // ToSystem converts the document to a validated model system. A
